@@ -2,7 +2,7 @@
 
 The library has four layers plus a CLI:
 
-- ``trie``: instrumented bitwise / k-ary tries that count edge traversals.
+- ``trie``: fixed-depth k-ary tries stored as sorted key arrays.
 - ``wildcard``: query patterns with wildcards, the backtracking search that
   answers them, and a brute-force oracle.
 - ``analysis``: exact rational evaluation of the per-configuration and
@@ -16,7 +16,7 @@ The library has four layers plus a CLI:
 __version__ = "0.1.0"
 
 from .errors import KeyRangeError, PatternShapeError, SizeLimitError
-from .trie import StepCounter, Trie, complete_trie, random_trie
+from .trie import Trie, complete_trie, random_trie
 from .wildcard import (
     QueryPattern,
     QueryResult,
@@ -26,13 +26,10 @@ from .wildcard import (
     sample_configuration,
 )
 from .analysis import (
-    ExactBound,
     binomial_convolution_identity,
     config_step_bound,
-    exact_bound,
     mean_step_bound,
     mean_step_bound_hypergeometric,
-    mean_steps_by_enumeration,
     wildcard_position_pmf,
 )
 from .dht import (
@@ -51,7 +48,6 @@ __all__ = [
     "KeyRangeError",
     "PatternShapeError",
     "SizeLimitError",
-    "StepCounter",
     "Trie",
     "complete_trie",
     "random_trie",
@@ -61,13 +57,10 @@ __all__ = [
     "brute_force_query",
     "enumerate_configurations",
     "sample_configuration",
-    "ExactBound",
     "binomial_convolution_identity",
     "config_step_bound",
-    "exact_bound",
     "mean_step_bound",
     "mean_step_bound_hypergeometric",
-    "mean_steps_by_enumeration",
     "wildcard_position_pmf",
     "ChordNetwork",
     "Entry",

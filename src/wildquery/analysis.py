@@ -8,21 +8,10 @@ rendering, never here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .errors import SizeLimitError
-from .trie import complete_trie
-from .wildcard import (
-    Configuration,
-    QueryPattern,
-    backtracking_query,
-    enumerate_configurations,
-    validate_configuration,
-)
-
-DEFAULT_MAX_ENUMERATION = 1 << 22
+from .wildcard import Configuration, validate_configuration
 
 
 def config_step_bound(m: int, w: int, positions: Configuration, k: int = 2) -> int:
@@ -104,61 +93,3 @@ def binomial_convolution_identity(m: int, w: int, j: int) -> tuple[int, int]:
     lhs = sum(comb(z, j) * comb(m - z, w - j) for z in range(m + 1))
     rhs = comb(m + 1, w + 1)
     return lhs, rhs
-
-
-def mean_steps_by_enumeration(
-    m: int,
-    w: int,
-    k: int = 2,
-    max_work: int = DEFAULT_MAX_ENUMERATION,
-) -> Fraction:
-    """Measured average steps on the complete trie over all configurations.
-
-    Runs the real search once per configuration (fixed letters all 0; on a
-    complete trie the cost depends only on the wildcard positions) and
-    averages the step counts exactly.
-    """
-    if not 0 <= w <= m:
-        raise ValueError(f"need 0 <= w <= m, got w={w}, m={m}")
-    if comb(m, w) * k**m > max_work:
-        raise SizeLimitError(
-            f"enumeration for m={m}, w={w}, k={k} exceeds work limit {max_work}"
-        )
-    trie = complete_trie(k, m)
-    total = 0
-    count = 0
-    for positions in enumerate_configurations(m, w):
-        pattern = QueryPattern.from_configuration(m, positions)
-        total += backtracking_query(trie, pattern).steps
-        count += 1
-    return Fraction(total, count)
-
-
-@dataclass(frozen=True)
-class ExactBound:
-    """All exact cost values for one (m, w, k) in a single bundle."""
-
-    m: int
-    w: int
-    k: int
-    per_config: dict[Configuration, int]
-    hypergeometric_mean: Fraction
-    closed_form_mean: Fraction
-
-
-def exact_bound(m: int, w: int, k: int = 2) -> ExactBound:
-    """Per-configuration bounds plus both forms of their average."""
-    per_config = {
-        positions: config_step_bound(m, w, positions, k)
-        for positions in enumerate_configurations(m, w)
-    }
-    return ExactBound(
-        m=m,
-        w=w,
-        k=k,
-        per_config=per_config,
-        hypergeometric_mean=mean_step_bound_hypergeometric(m, w, k)
-        if w >= 1
-        else Fraction(m),
-        closed_form_mean=mean_step_bound(m, w, k),
-    )

@@ -40,10 +40,10 @@ DEFAULTS = {
     },
 }
 
-_FLAG_DESTS = (
-    "m", "w", "k", "n", "population", "entries_factor", "trials", "seed",
-    "mode", "fmt", "out",
-)
+_INT_DESTS = ("m", "w", "k", "n", "population", "entries_factor", "trials")
+_FLAG_DESTS = (*_INT_DESTS, "seed", "mode", "fmt", "out")
+_MODES = (FULL, ENTRY_BOUND)
+_FORMATS = ("csv", "json")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,13 +69,34 @@ def build_parser() -> argparse.ArgumentParser:
             help="trial count (chord-single: 0 sweeps every target and start)",
         )
         sub.add_argument("--seed", type=int, help="master seed (required)")
-        sub.add_argument("--mode", choices=[FULL, ENTRY_BOUND], help="finger mode")
+        sub.add_argument("--mode", choices=_MODES, help="finger mode")
         sub.add_argument(
-            "--format", dest="fmt", choices=["csv", "json"], help="report format"
+            "--format", dest="fmt", choices=_FORMATS, help="report format"
         )
         sub.add_argument("--out", help="report path (default <experiment>.<format>)")
         sub.add_argument("--config", help="JSON file supplying any of the flags")
     return parser
+
+
+def _check_types(merged: dict) -> None:
+    """Reject config values the flags' own types would never produce."""
+
+    def is_int(value) -> bool:
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    for dest in _INT_DESTS:
+        if dest in merged and not is_int(merged[dest]):
+            raise SizeLimitError(f"{dest} must be an integer, got {merged[dest]!r}")
+    seed = merged["seed"]
+    if not (is_int(seed) or isinstance(seed, str)):
+        raise SizeLimitError(f"seed must be an integer or a string, got {seed!r}")
+    for dest, choices in (("mode", _MODES), ("fmt", _FORMATS)):
+        if dest in merged and merged[dest] not in choices:
+            raise SizeLimitError(
+                f"{dest} must be one of {', '.join(choices)}, got {merged[dest]!r}"
+            )
+    if merged.get("out") is not None and not isinstance(merged["out"], str):
+        raise SizeLimitError(f"out must be a path string, got {merged['out']!r}")
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -103,6 +124,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             merged[dest] = value
     if merged.get("seed") is None:
         raise SizeLimitError("a seed is mandatory; pass --seed")
+    _check_types(merged)
     cfg = ExperimentConfig(experiment=args.experiment, **merged)
     if cfg.out is None:
         cfg.out = f"{cfg.experiment}.{cfg.fmt}"

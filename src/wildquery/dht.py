@@ -27,7 +27,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import SizeLimitError
+from .errors import PatternShapeError, SizeLimitError
 from .wildcard import QueryPattern
 
 RING = "ring"
@@ -323,12 +323,12 @@ class ChordNetwork:
         peer where the previous lookup ended.
         """
         if pattern.m != self.m:
-            raise ValueError(
+            raise PatternShapeError(
                 f"pattern length {pattern.m} does not match ring bits {self.m}"
             )
         for s in pattern.symbols:
             if s is not None and s > 1:
-                raise ValueError("ring patterns are binary")
+                raise PatternShapeError("ring patterns are binary")
         if 2**pattern.wildcard_count > max_lookups:
             raise SizeLimitError(
                 f"{2 ** pattern.wildcard_count} lookups exceed {max_lookups}"

@@ -1,60 +1,33 @@
-"""Instrumented fixed-depth tries over the alphabet 0..k-1.
+"""Fixed-depth tries over the alphabet 0..k-1, stored as sorted key arrays.
 
 Keys are integers in [0, k**m) read as m base-k letters; letter positions
 are numbered m..1 from the most significant letter down. Every stored key
-occupies a full root-to-leaf path of exactly m edges. Search cost is
-measured in *steps*, one per edge traversal, charged in both the downward
-and the backtracking direction.
+occupies a full root-to-leaf path of exactly m edges, so the node at depth
+d with prefix p exists exactly when some stored key lies in
+[p * k**(m-d), (p+1) * k**(m-d)). The trie therefore keeps only its keys
+in ascending order, and one bisect answers whether a node exists. Search
+cost is counted by the search itself (see wildcard.py) in *steps*, one per
+edge traversal, charged in both the downward and the backtracking
+direction.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from typing import Iterator
 
 from .errors import KeyRangeError, SizeLimitError
 
-# Leaves carry no children; a shared sentinel keeps them cheap.
-_LEAF = object()
-
 DEFAULT_MAX_KEYS = 1 << 20
-
-
-class StepCounter:
-    """Mutable traversal-step count for one query at a time.
-
-    The count only grows while a query runs; reset() is meant for reuse
-    between queries, never during one. Concurrent queries over the same
-    trie must each own their counter.
-    """
-
-    __slots__ = ("steps",)
-
-    def __init__(self) -> None:
-        self.steps = 0
-
-    def add(self, n: int = 1) -> None:
-        self.steps += n
-
-    def reset(self) -> None:
-        self.steps = 0
-
-    def __repr__(self) -> str:
-        return f"StepCounter(steps={self.steps})"
-
-
-class _Node:
-    __slots__ = ("children",)
-
-    def __init__(self, k: int) -> None:
-        self.children = [None] * k
 
 
 class Trie:
     """Fixed-depth k-ary trie storing integer keys.
 
-    A single writer may insert; any number of readers may query a frozen
-    trie concurrently provided each holds its own StepCounter.
+    `keys` is an ascending sequence of distinct stored keys: a list, or a
+    range for the complete trie. A single writer may insert; any number of
+    readers may query a frozen trie concurrently.
     """
 
     def __init__(self, k: int, m: int):
@@ -65,81 +38,33 @@ class Trie:
         self.k = k
         self.m = m
         self.key_space = k**m
-        self.root = _Node(k)
-        self._node_count = 1
+        self.keys: list[int] | range = []
 
     def _check_key(self, key: int) -> None:
+        # a non-int key would compare fine and break the ascending-ints order
+        if not isinstance(key, int):
+            raise TypeError(f"key must be an int, got {key!r}")
         if not 0 <= key < self.key_space:
             raise KeyRangeError(
                 f"key {key} out of range for k={self.k}, m={self.m}"
             )
 
-    def _digits(self, key: int) -> list[int]:
-        # Most significant letter first (position m down to 1).
-        k = self.k
-        out = [0] * self.m
-        for i in range(self.m - 1, -1, -1):
-            key, out[i] = divmod(key, k)
-        return out
-
     def insert(self, key: int) -> "Trie":
-        """Add a key; idempotent, never counted as steps."""
-        self._check_key(key)
-        node = self.root
-        digits = self._digits(key)
-        last = self.m - 1
-        for depth, letter in enumerate(digits):
-            child = node.children[letter]
-            if child is None:
-                if depth == last:
-                    child = _LEAF
-                else:
-                    child = _Node(self.k)
-                node.children[letter] = child
-                self._node_count += 1
-            node = child
+        """Add a key; idempotent."""
+        if not self.contains(key):
+            insort(self.keys, key)
         return self
 
-    def contains(self, key: int, counter: StepCounter | None = None) -> bool:
-        """Membership test charging one step per edge walked downward.
-
-        A miss stops at the deepest matching prefix, so it charges at most
-        m steps and often fewer.
-        """
+    def contains(self, key: int) -> bool:
+        """Membership test."""
         self._check_key(key)
-        node = self.root
-        steps = 0
-        for letter in self._digits(key):
-            node = node.children[letter]
-            if node is None:
-                break
-            steps += 1
-        if counter is not None:
-            counter.add(steps)
-        return node is not None
+        keys = self.keys
+        i = bisect_left(keys, key)
+        return i < len(keys) and keys[i] == key
 
     def members(self) -> Iterator[int]:
         """Yield all stored keys in ascending order."""
-        k = self.k
-        last = self.m - 1
-        stack: list[tuple[_Node, int, int]] = [(self.root, 0, 0)]
-        while stack:
-            node, depth, prefix = stack.pop()
-            if depth == last:
-                for letter in range(k):
-                    if node.children[letter] is not None:
-                        yield prefix * k + letter
-                continue
-            # Push in reverse letter order so ascending keys pop first.
-            for letter in range(k - 1, -1, -1):
-                child = node.children[letter]
-                if child is not None:
-                    stack.append((child, depth + 1, prefix * k + letter))
-
-    @property
-    def node_count(self) -> int:
-        """Number of nodes including the root and leaves."""
-        return self._node_count
+        return iter(self.keys)
 
 
 def complete_trie(k: int, m: int, max_keys: int = DEFAULT_MAX_KEYS) -> Trie:
@@ -149,16 +74,7 @@ def complete_trie(k: int, m: int, max_keys: int = DEFAULT_MAX_KEYS) -> Trie:
             f"complete trie k={k}, m={m} has {k ** m} keys, over the limit {max_keys}"
         )
     trie = Trie(k, m)
-
-    def build(depth: int) -> object:
-        if depth == m:
-            return _LEAF
-        node = _Node(k)
-        node.children = [build(depth + 1) for _ in range(k)]
-        return node
-
-    trie.root = build(0)
-    trie._node_count = (k ** (m + 1) - 1) // (k - 1)
+    trie.keys = range(k**m)
     return trie
 
 
@@ -169,8 +85,6 @@ def random_trie(k: int, m: int, population: int, seed) -> Trie:
         raise ValueError(
             f"population {population} out of range for key space {space}"
         )
-    rng = random.Random(seed)
     trie = Trie(k, m)
-    for key in rng.sample(range(space), population):
-        trie.insert(key)
+    trie.keys = sorted(random.Random(seed).sample(range(space), population))
     return trie

@@ -12,7 +12,7 @@ wildcard that still has letters left. Each edge crossed in either
 direction costs one step.
 
 Queries never mutate the trie, so any number may run in parallel against
-a frozen trie; each carries its own step counter.
+a frozen trie; each counts its own steps.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import PatternShapeError, SizeLimitError
-from .trie import StepCounter, Trie
+from .trie import Trie
 
 Configuration = tuple[int, ...]
 
@@ -187,7 +188,9 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
     _check_pattern(trie, pattern)
     k, m = trie.k, trie.m
     sym = pattern.symbols
-    counter = StepCounter()
+    keys = trie.keys
+    n_keys = len(keys)
+    steps = 0
 
     # wildcard depths (node depth = m - position) currently assigned,
     # shallowest first, with their letter values
@@ -197,9 +200,14 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
     wilds_below = [0] * (m + 1)
     for d in range(m - 1, -1, -1):
         wilds_below[d] = wilds_below[d + 1] + (1 if sym[d] is None else 0)
+    # width[d] = keys under one node at depth d + 1, so the child of the
+    # depth-d node with prefix p on letter a holds the keys in
+    # [(p*k + a) * width[d], (p*k + a + 1) * width[d])
+    width = [k ** (m - 1 - d) for d in range(m)]
 
-    path: list = [trie.root]
-    choices = [0] * m
+    # prefix[d] = letters of the node at depth d on the current path, read
+    # as a base-k number; prefix[m] is the key itself
+    prefix = [0] * (m + 1)
     depth = 0
     matches: set[int] = set()
     per_key: list[int] = []
@@ -208,7 +216,6 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
     while True:
         # descend as far as the pattern and trie allow
         dead = False
-        node = path[-1]
         while depth < m:
             s = sym[depth]
             if s is None:
@@ -220,28 +227,24 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
                     a = 0
             else:
                 a = s
-            child = node.children[a]
-            if child is None:
+            child = prefix[depth] * k + a
+            lo = child * width[depth]
+            i = bisect_left(keys, lo)
+            if i == n_keys or keys[i] >= lo + width[depth]:
                 dead = True
                 break
-            choices[depth] = a
-            node = child
             depth += 1
-            counter.steps += 1
-            path.append(node)
+            prefix[depth] = child
+            steps += 1
 
         if dead:
             group = k ** wilds_below[depth + 1]
         else:
-            key = 0
-            for a in choices:
-                key = key * k + a
-            matches.add(key)
+            matches.add(prefix[m])
             group = 1
 
-        delta = counter.steps - charged
-        charged = counter.steps
-        per_key.append(delta)
+        per_key.append(steps - charged)
+        charged = steps
         if group > 1:
             per_key.extend([0] * (group - 1))
 
@@ -252,14 +255,13 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
         if not open_depths:
             break
         target = open_depths[-1]
-        counter.steps += depth - target
-        del path[target + 1 :]
+        steps += depth - target
         depth = target
         letter_at[target] += 1
 
     return QueryResult(
         matches=frozenset(matches),
-        steps=counter.steps,
+        steps=steps,
         per_key_steps=tuple(per_key),
     )
 

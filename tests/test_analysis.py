@@ -6,16 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildquery.analysis import (
-    ExactBound,
     binomial_convolution_identity,
     config_step_bound,
-    exact_bound,
     mean_step_bound,
     mean_step_bound_hypergeometric,
-    mean_steps_by_enumeration,
     wildcard_position_pmf,
 )
-from wildquery.errors import SizeLimitError
 from wildquery.wildcard import enumerate_configurations, sample_configuration
 from wildquery.trie import complete_trie
 from wildquery.wildcard import QueryPattern, backtracking_query
@@ -136,19 +132,6 @@ class TestConvolutionIdentity:
             binomial_convolution_identity(3, 4, 1)
 
 
-class TestEnumerationMean:
-    def test_small_binary_values(self):
-        assert mean_steps_by_enumeration(2, 1, 2) == 5
-        assert mean_steps_by_enumeration(3, 2, 2) == Fraction(41, 3)
-
-    def test_matches_closed_form_ternary(self):
-        assert mean_steps_by_enumeration(6, 3, 3) == mean_step_bound(6, 3, 3)
-
-    def test_work_limit(self):
-        with pytest.raises(SizeLimitError):
-            mean_steps_by_enumeration(20, 10, 2, max_work=1000)
-
-
 def test_fixed_letters_do_not_change_cost_on_complete_trie():
     rng = random.Random(5)
     trie = complete_trie(2, 8)
@@ -160,16 +143,6 @@ def test_fixed_letters_do_not_change_cost_on_complete_trie():
             pattern = QueryPattern.from_configuration(8, positions, letters)
             costs.add(backtracking_query(trie, pattern).steps)
         assert len(costs) == 1
-
-
-def test_exact_bound_bundle():
-    bundle = exact_bound(3, 2, 2)
-    assert isinstance(bundle, ExactBound)
-    assert bundle.per_config == {(1, 2): 11, (1, 3): 13, (2, 3): 17}
-    assert bundle.closed_form_mean == Fraction(41, 3)
-    assert bundle.hypergeometric_mean == bundle.closed_form_mean
-    mean = Fraction(sum(bundle.per_config.values()), len(bundle.per_config))
-    assert mean == bundle.closed_form_mean
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -11,7 +11,7 @@ from wildquery.dht import (
     ring_distance,
     xor_distance,
 )
-from wildquery.errors import SizeLimitError
+from wildquery.errors import PatternShapeError, SizeLimitError
 from wildquery.wildcard import QueryPattern, sample_configuration
 
 
@@ -296,9 +296,10 @@ class TestWildcardQuery:
 
     def test_rejects_non_binary_or_misshaped_patterns(self):
         net = build_network(8, 6, seed=20)
-        with pytest.raises(ValueError):
+        # the trie search raises the same class for the same mistakes
+        with pytest.raises(PatternShapeError):
             net.wildcard_query(QueryPattern.from_string("2*0*00"), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(PatternShapeError):
             net.wildcard_query(QueryPattern.from_string("***"), 0)
         with pytest.raises(SizeLimitError):
             net.wildcard_query(

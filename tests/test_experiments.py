@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wildquery.cli import main
 from wildquery.experiments import (
@@ -257,3 +261,32 @@ class TestCli:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_mistyped_config_value_is_usage_error(self, data):
+        junk = st.one_of(
+            st.none(),
+            st.booleans(),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.lists(st.integers(), max_size=2),
+            st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+        )
+        wrong = {
+            "seed": junk,
+            "mode": junk | st.text().filter(lambda t: t not in ("full", "entry-bound")),
+            "fmt": junk | st.text().filter(lambda t: t not in ("csv", "json")),
+            "out": junk.filter(lambda v: v is not None),
+        }
+        integers = ["m", "w", "k", "n", "population", "entries_factor", "trials"]
+        dest = data.draw(st.sampled_from([*integers, *wrong]))
+        value = data.draw(wrong.get(dest, junk | st.text(max_size=4)))
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "cfg.json"
+            config.write_text(json.dumps({"m": 3, "w": 1, "seed": 1, dest: value}))
+            out = Path(tmp) / "r.csv"
+            args = ["trie-exact", "--config", str(config)]
+            if dest != "out":
+                args += ["--out", str(out)]
+            assert main(args) == 2, (dest, value)
+            assert not out.exists()

@@ -3,7 +3,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildquery.errors import KeyRangeError, SizeLimitError
-from wildquery.trie import StepCounter, Trie, complete_trie, random_trie
+from wildquery.trie import Trie, complete_trie, random_trie
+from wildquery.wildcard import QueryPattern, backtracking_query
+
+
+def _node_count(trie):
+    """Nodes of the trie the keys spell, root and leaves included.
+
+    Counted from distinct prefixes of the stored keys, independently of
+    the bisect the search uses to test whether a node exists.
+    """
+    k, m = trie.k, trie.m
+    return sum(
+        len({key // k ** (m - depth) for key in trie.members()})
+        for depth in range(m + 1)
+    )
+
+
+def _plain_search(trie, key):
+    """Steps a wildcard-free search for `key` charges."""
+    letters = [(key // trie.k ** (trie.m - 1 - i)) % trie.k for i in range(trie.m)]
+    return backtracking_query(trie, QueryPattern(tuple(letters))).steps
 
 
 def test_insert_then_contains():
@@ -18,47 +38,33 @@ def test_insert_idempotent():
     a.insert(5).insert(5)
     b = Trie(2, 3)
     b.insert(5)
-    assert list(a.members()) == list(b.members())
-    assert a.node_count == b.node_count
+    assert list(a.members()) == list(b.members()) == [5]
 
 
 def test_insert_all_keys_node_count():
     trie = Trie(2, 3)
     for key in range(8):
         trie.insert(key)
-    assert trie.node_count == 1 + 2 + 4 + 8
+    assert _node_count(trie) == 1 + 2 + 4 + 8
 
 
 def test_contains_full_walk_steps():
     trie = complete_trie(2, 3)
-    counter = StepCounter()
-    assert trie.contains(0b010, counter)
-    assert counter.steps == 3
+    assert trie.contains(0b010)
+    assert _plain_search(trie, 0b010) == 3
 
 
 def test_contains_empty_trie_zero_steps():
     trie = Trie(2, 3)
-    counter = StepCounter()
-    assert not trie.contains(0b010, counter)
-    assert counter.steps == 0
+    assert not trie.contains(0b010)
+    assert _plain_search(trie, 0b010) == 0
 
 
 def test_miss_stops_at_deepest_shared_prefix():
     trie = Trie(2, 3)
     trie.insert(0b111)
-    counter = StepCounter()
-    assert not trie.contains(0b110, counter)
-    assert counter.steps == 2
-
-
-def test_step_counter_accumulates_and_resets():
-    trie = complete_trie(2, 4)
-    counter = StepCounter()
-    trie.contains(3, counter)
-    trie.contains(9, counter)
-    assert counter.steps == 8
-    counter.reset()
-    assert counter.steps == 0
+    assert not trie.contains(0b110)
+    assert _plain_search(trie, 0b110) == 2
 
 
 def test_complete_trie_members_and_counts():
@@ -66,12 +72,12 @@ def test_complete_trie_members_and_counts():
     assert len(list(complete_trie(3, 2).members())) == 9
     t = complete_trie(2, 4)
     assert len(list(t.members())) == 16
-    assert t.node_count == 31
+    assert _node_count(t) == 31
 
 
 @pytest.mark.parametrize("k,m", [(2, 5), (3, 3), (4, 2)])
 def test_complete_trie_node_count_formula(k, m):
-    assert complete_trie(k, m).node_count == (k ** (m + 1) - 1) // (k - 1)
+    assert _node_count(complete_trie(k, m)) == (k ** (m + 1) - 1) // (k - 1)
 
 
 def test_complete_trie_size_limit():
@@ -85,6 +91,9 @@ def test_key_range_errors():
         trie.insert(8)
     with pytest.raises(KeyRangeError):
         trie.contains(-1)
+    with pytest.raises(TypeError):
+        trie.insert(1.5)
+    assert list(trie.members()) == []
 
 
 def test_random_trie_population_and_determinism():
@@ -117,11 +126,17 @@ def test_membership_matches_reference_set(k, m, data):
     trie = Trie(k, m)
     for key in keys:
         trie.insert(key)
-    assert set(trie.members()) == keys
-    counter = StepCounter()
+    assert list(trie.members()) == sorted(keys)
     for probe in data.draw(
         st.lists(st.integers(0, k**m - 1), max_size=10)
     ):
-        before = counter.steps
-        assert trie.contains(probe, counter) == (probe in keys)
-        assert 0 <= counter.steps - before <= m
+        assert trie.contains(probe) == (probe in keys)
+        # a plain search walks down the longest prefix it shares with a key
+        shared = max(
+            (
+                d for d in range(m + 1)
+                if any(key // k ** (m - d) == probe // k ** (m - d) for key in keys)
+            ),
+            default=0,
+        )
+        assert _plain_search(trie, probe) == shared
