@@ -34,13 +34,10 @@ from .analysis import (
 )
 from .dht import (
     ChordNetwork,
-    Entry,
     LookupOutcome,
-    NodeId,
     RingQueryResult,
     build_network,
     ring_distance,
-    xor_distance,
 )
 
 __all__ = [
@@ -63,11 +60,8 @@ __all__ = [
     "mean_step_bound_hypergeometric",
     "wildcard_position_pmf",
     "ChordNetwork",
-    "Entry",
     "LookupOutcome",
-    "NodeId",
     "RingQueryResult",
     "build_network",
     "ring_distance",
-    "xor_distance",
 ]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -131,11 +132,20 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _check_writable(out: str) -> None:
+    """Refuse a report path `emit` could not write, before the run starts."""
+    parent = os.path.dirname(os.path.abspath(out))
+    writable = os.path.isdir(parent) and os.access(parent, os.W_OK)
+    if os.path.isdir(out) or not writable:
+        raise SizeLimitError(f"cannot write {out}: not a writable file path")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = config_from_args(args)
+        _check_writable(cfg.out)
     except (SizeLimitError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

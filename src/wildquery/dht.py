@@ -8,7 +8,8 @@ the target key falls between the current node and one of its neighbors,
 answering from the identified owner's entries. A hop that cannot shorten
 the bit length of the remaining distance is the error case: the lookup
 gives up and reports the key absent, which is how sparse entry-bound
-finger tables lose correctness.
+finger tables lose correctness. Every accepted hop shortens that bit
+length, so no lookup takes more than m hops.
 
 Finger tables come in two modes. "full" grants every node all m fingers
 (finger i points at the successor of key + 2**(i-1)). "entry-bound"
@@ -30,13 +31,9 @@ from dataclasses import dataclass
 from .errors import PatternShapeError, SizeLimitError
 from .wildcard import QueryPattern
 
-RING = "ring"
-XOR = "xor"
-
 FULL = "full"
 ENTRY_BOUND = "entry-bound"
 
-HOP_CAP_FACTOR = 4
 MAX_RING_BITS = 24
 DEFAULT_MAX_LOOKUPS = 1 << 12
 
@@ -46,43 +43,14 @@ def ring_distance(a: int, b: int, m: int) -> int:
     return (b - a) & ((1 << m) - 1)
 
 
-def xor_distance(a: int, b: int) -> int:
-    """Bitwise-XOR metric; symmetric, zero only at equality."""
-    return a ^ b
-
-
-@dataclass(frozen=True)
-class NodeId:
-    key: int
-    address: int
-
-
-@dataclass(frozen=True)
-class Entry:
-    data_key: int
-    value: object
-
-
-@dataclass(frozen=True)
-class RoutingTable:
-    """One node's links: ring neighbors plus whatever fingers it holds."""
-
-    owner: int
-    successor: int
-    predecessor: int
-    fingers: tuple  # length m, address or None per finger index 1..m
-    finger_mode: str
-
-
 @dataclass(frozen=True)
 class LookupOutcome:
     """Result of a single-key lookup.
 
     `found` is the protocol's answer, `correct` compares it against the
     omniscient entry set. `error_case` records that greedy routing stalled
-    (or hit the hop cap) and the protocol answered "absent" without
-    reaching the owner. `path` lists node addresses, start first, so
-    hops == len(path) - 1.
+    and the protocol answered "absent" without reaching the owner. `path`
+    lists node addresses, start first, so hops == len(path) - 1.
     """
 
     found: bool
@@ -111,16 +79,18 @@ class RingQueryResult:
 
 
 class ChordNetwork:
-    """n nodes on the 2**m ring with per-node finger tables and entries."""
+    """n nodes on the 2**m ring with per-node finger tables and loads.
 
-    def __init__(self, m: int, node_keys: list[int], finger_mode: str = FULL,
-                 metric: str = RING):
+    `fingers[addr]` has one slot per finger index 1..m, holding the
+    finger's address or None where the node is not granted it;
+    `loads[addr]` is the number of entries the node stores.
+    """
+
+    def __init__(self, m: int, node_keys: list[int], finger_mode: str = FULL):
         if m < 1 or m > MAX_RING_BITS:
             raise ValueError(f"need 1 <= m <= {MAX_RING_BITS}, got {m}")
         if finger_mode not in (FULL, ENTRY_BOUND):
             raise ValueError(f"unknown finger mode {finger_mode!r}")
-        if metric not in (RING, XOR):
-            raise ValueError(f"unknown metric {metric!r}")
         n = len(node_keys)
         if n < 2:
             raise ValueError("need at least 2 nodes")
@@ -131,71 +101,34 @@ class ChordNetwork:
         self.m = m
         self.size = 1 << m
         self.finger_mode = finger_mode
-        self.metric = metric
         self.node_keys = sorted(node_keys)
         self.n = n
-        self.nodes = [NodeId(key, addr) for addr, key in enumerate(self.node_keys)]
-        self.entries: list[list[Entry]] = [[] for _ in range(n)]
+        self.loads = [0] * n
         self._stored: Counter = Counter()
-        self._rebuild_tables()
-
-    # -- static structure -------------------------------------------------
+        self.fingers: list[tuple] = [()] * n
+        self._table_addrs: list[tuple[int, ...]] = [()] * n
+        for addr in range(n):
+            self._build_table(addr)
 
     def successor_of(self, d: int) -> int:
-        """Address of the node owning key d (minimum distance from d)."""
-        if self.metric == XOR:
-            return min(range(self.n), key=lambda a: self.node_keys[a] ^ d)
-        i = bisect_left(self.node_keys, d)
-        return i % self.n
+        """Address of the node owning key d, the first at or after d."""
+        return bisect_left(self.node_keys, d) % self.n
 
-    def predecessor_of(self, d: int) -> int:
-        """Address of the last node strictly before d on the ring."""
-        i = bisect_left(self.node_keys, d)
-        return (i - 1) % self.n
-
-    def successor(self, addr: int) -> int:
-        return (addr + 1) % self.n
-
-    def predecessor(self, addr: int) -> int:
-        return (addr - 1) % self.n
-
-    def _ring_successor_of(self, d: int) -> int:
-        i = bisect_left(self.node_keys, d)
-        return i % self.n
-
-    def _rebuild_tables(self) -> None:
+    def _build_table(self, addr: int) -> None:
+        """Set one node's fingers from its grant, and its hop candidates."""
         n, m, mask = self.n, self.m, self.size - 1
-        keys = self.node_keys
-        self._fingers: list[tuple] = []
-        self._table_addrs: list[tuple[int, ...]] = []
-        for addr in range(n):
-            if self.finger_mode == FULL:
-                granted = m
-            else:
-                granted = min(m, len(self.entries[addr]))
-            fingers = []
-            for i in range(1, m + 1):
-                if i > granted:
-                    fingers.append(None)
-                    continue
-                target = (keys[addr] + (1 << (i - 1))) & mask
-                fingers.append(self._ring_successor_of(target))
-            self._fingers.append(tuple(fingers))
-            candidates = dict.fromkeys(
-                [(addr + 1) % n, (addr - 1) % n]
-                + [f for f in fingers if f is not None]
-            )
-            candidates.pop(addr, None)  # moving to oneself is not a hop
-            self._table_addrs.append(tuple(candidates))
-
-    def routing_table(self, addr: int) -> RoutingTable:
-        return RoutingTable(
-            owner=addr,
-            successor=(addr + 1) % self.n,
-            predecessor=(addr - 1) % self.n,
-            fingers=self._fingers[addr],
-            finger_mode=self.finger_mode,
+        key = self.node_keys[addr]
+        granted = m if self.finger_mode == FULL else min(m, self.loads[addr])
+        fingers = tuple(
+            self.successor_of((key + (1 << i)) & mask) if i < granted else None
+            for i in range(m)
         )
+        self.fingers[addr] = fingers
+        candidates = dict.fromkeys(
+            [(addr + 1) % n, (addr - 1) % n] + [f for f in fingers if f is not None]
+        )
+        candidates.pop(addr, None)  # moving to oneself is not a hop
+        self._table_addrs[addr] = tuple(candidates)
 
     # -- entries -----------------------------------------------------------
 
@@ -212,27 +145,29 @@ class ChordNetwork:
         rng = random.Random(seed)
         n, size = self.n, self.size
         keys = self.node_keys
-        self.entries = [[] for _ in range(n)]
-        self._stored = Counter()
-        for i in range(count):
+        loads = [0] * n
+        stored = Counter()
+        for _ in range(count):
             addr = rng.randrange(n)
             arc = (keys[addr] - keys[addr - 1]) % size
-            d = (keys[addr - 1] + 1 + rng.randrange(arc)) % size
-            self.entries[addr].append(Entry(d, i))
-            self._stored[d] += 1
+            stored[(keys[addr - 1] + 1 + rng.randrange(arc)) % size] += 1
+            loads[addr] += 1
+        self.loads = loads
+        self._stored = stored
         if self.finger_mode == ENTRY_BOUND:
-            self._rebuild_tables()
+            for addr in range(n):
+                self._build_table(addr)
         return self
 
-    def store_entry(self, d: int, value) -> None:
+    def store_entry(self, d: int) -> None:
         """Place a single entry at the successor of d."""
         if not 0 <= d < self.size:
             raise ValueError(f"data key {d} outside the ring")
-        addr = self._ring_successor_of(d)
-        self.entries[addr].append(Entry(d, value))
+        addr = self.successor_of(d)
+        self.loads[addr] += 1
         self._stored[d] += 1
         if self.finger_mode == ENTRY_BOUND:
-            self._rebuild_tables()
+            self._build_table(addr)  # only the owner's grant changed
 
     def ground_truth(self, d: int) -> bool:
         """Omniscient membership: scan-all equivalent over stored entries."""
@@ -244,43 +179,35 @@ class ChordNetwork:
 
     # -- lookup ------------------------------------------------------------
 
-    def lookup(self, d: int, start, on_stall: str = "reject") -> LookupOutcome:
-        """Resolve the membership of data key d from a start node.
+    def lookup(self, d: int, start: int) -> LookupOutcome:
+        """Resolve the membership of data key d from a start node address.
 
         Greedy routing: hop to the table node nearest the owner of d,
         which in full-finger mode provably at least halves the remaining
         clockwise distance every hop. The walk ends when d lies between
         the current node and a ring neighbor; the owner's entries then
         supply the answer without a further hop. If no table node improves
-        the distance by a bit, the behavior depends on `on_stall`:
-        "reject" answers absent immediately (the error case), "walk"
-        falls back to plain successor steps. A hop cap of 4*m bounds any
-        walk; exceeding it is also an error case.
+        the distance by a bit, the lookup answers absent at once (the
+        error case). Each accepted hop therefore strictly shortens the bit
+        length of a distance below 2**m, so a lookup takes at most m hops
+        and needs no hop cap.
         """
-        if self.metric != RING:
-            raise ValueError("lookup routes on the ring metric only")
         if not 0 <= d < self.size:
             raise ValueError(f"data key {d} outside the ring")
-        if on_stall not in ("reject", "walk"):
-            raise ValueError(f"unknown stall policy {on_stall!r}")
-        a = start.address if isinstance(start, NodeId) else start
-        if not 0 <= a < self.n:
+        if not 0 <= start < self.n:
             raise ValueError(f"bad start node {start!r}")
 
         keys = self.node_keys
         tables = self._table_addrs
         mask = self.size - 1
         n = self.n
-        cap = HOP_CAP_FACTOR * self.m
 
-        t = self._ring_successor_of(d)
+        a = start
+        t = self.successor_of(d)
         tkey = keys[t]
         path = [a]
         error = False
         while a != t and (a + 1) % n != t:
-            if len(path) > cap:
-                error = True
-                break
             dist = (tkey - keys[a]) & mask
             best = a
             best_dist = dist
@@ -292,11 +219,8 @@ class ChordNetwork:
                     best_dist = du
                     best = u
             if best_dist.bit_length() >= dist.bit_length():
-                # no table node improves a bit of the remaining distance
-                if on_stall == "reject":
-                    error = True
-                    break
-                best = (a + 1) % n  # successor always makes some progress
+                error = True  # no table node improves a bit of the distance
+                break
             a = best
             path.append(a)
 
@@ -313,8 +237,8 @@ class ChordNetwork:
     def wildcard_query(
         self,
         pattern: QueryPattern,
-        start,
-        on_stall: str = "reject",
+        start: int,
+        *,
         max_lookups: int = DEFAULT_MAX_LOOKUPS,
     ) -> RingQueryResult:
         """Resolve every expansion of a binary pattern over the ring.
@@ -333,14 +257,14 @@ class ChordNetwork:
             raise SizeLimitError(
                 f"{2 ** pattern.wildcard_count} lookups exceed {max_lookups}"
             )
-        peer = start.address if isinstance(start, NodeId) else start
+        peer = start
         keys = []
         hops = []
         correct = []
         errors = []
         matches = set()
         for d in pattern.expansions(2):
-            outcome = self.lookup(d, peer, on_stall=on_stall)
+            outcome = self.lookup(d, peer)
             keys.append(d)
             hops.append(outcome.hops)
             correct.append(outcome.correct)
@@ -372,7 +296,7 @@ class ChordNetwork:
         for addr in range(self.n):
             fingers = ";".join(
                 f"{i}:{self.node_keys[f]}"
-                for i, f in enumerate(self._fingers[addr], start=1)
+                for i, f in enumerate(self.fingers[addr], start=1)
                 if f is not None
             )
             lines.append(
@@ -380,13 +304,12 @@ class ChordNetwork:
                 f" succ={self.node_keys[(addr + 1) % self.n]}"
                 f" pred={self.node_keys[(addr - 1) % self.n]}"
                 f" fingers={fingers}"
-                f" entries={len(self.entries[addr])}"
+                f" entries={self.loads[addr]}"
             )
         return "\n".join(lines) + "\n"
 
 
-def build_network(n: int, m: int, seed, finger_mode: str = FULL,
-                  metric: str = RING) -> ChordNetwork:
+def build_network(n: int, m: int, seed, finger_mode: str = FULL) -> ChordNetwork:
     """Sample n distinct node keys uniformly and assemble the ring."""
     if m < 1 or m > MAX_RING_BITS:
         raise ValueError(f"need 1 <= m <= {MAX_RING_BITS}, got {m}")
@@ -396,4 +319,4 @@ def build_network(n: int, m: int, seed, finger_mode: str = FULL,
         )
     rng = random.Random(seed)
     node_keys = rng.sample(range(1 << m), n)
-    return ChordNetwork(m, node_keys, finger_mode=finger_mode, metric=metric)
+    return ChordNetwork(m, node_keys, finger_mode=finger_mode)

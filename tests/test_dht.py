@@ -9,7 +9,6 @@ from wildquery.dht import (
     ChordNetwork,
     build_network,
     ring_distance,
-    xor_distance,
 )
 from wildquery.errors import PatternShapeError, SizeLimitError
 from wildquery.wildcard import QueryPattern, sample_configuration
@@ -21,36 +20,23 @@ class TestMetrics:
         assert ring_distance(10, 3, 4) == 9
         assert ring_distance(5, 5, 4) == 0
 
-    def test_xor_distance_properties(self):
-        assert xor_distance(9, 9) == 0
-        for a, b, c in [(3, 12, 7), (0, 255, 1), (17, 5, 9)]:
-            assert xor_distance(a, b) == xor_distance(b, a)
-            assert xor_distance(a, b) >= 0
-            # triangle inequality under xor
-            assert xor_distance(a, c) <= xor_distance(a, b) + xor_distance(b, c)
-
-    def test_xor_successor_on_network(self):
-        net = build_network(8, 6, seed=2, metric="xor")
-        for d in (0, 13, 40, 63):
-            want = min(range(net.n), key=lambda a: net.node_keys[a] ^ d)
-            assert net.successor_of(d) == want
-
-    def test_xor_network_refuses_ring_lookup(self):
-        net = build_network(4, 5, seed=2, metric="xor")
-        with pytest.raises(ValueError):
-            net.lookup(3, 0)
-
 
 class TestConstruction:
     def test_two_node_ring(self):
         net = build_network(2, 2, seed=1)
-        assert net.successor(0) == 1 and net.successor(1) == 0
-        assert net.predecessor(0) == 1 and net.predecessor(1) == 0
+        k0, k1 = net.node_keys
+        lines = net.snapshot().splitlines()[1:]
+        assert f"succ={k1} pred={k1}" in lines[0]
+        assert f"succ={k0} pred={k0}" in lines[1]
+        # each node neighbors the other, so every owner is reached in place
+        for d in range(net.size):
+            for start in range(net.n):
+                assert net.lookup(d, start).hops == 0
 
     def test_node_keys_distinct_sorted(self):
         net = build_network(50, 10, seed=3)
         assert net.node_keys == sorted(set(net.node_keys))
-        assert all(n.address == i for i, n in enumerate(net.nodes))
+        assert len(net.loads) == len(net.fingers) == net.n == 50
 
     def test_deterministic_given_seed(self):
         a = build_network(20, 8, seed=5)
@@ -65,13 +51,22 @@ class TestConstruction:
     def test_full_mode_has_every_finger(self):
         net = build_network(16, 8, seed=7)
         for addr in range(net.n):
-            assert all(f is not None for f in net.routing_table(addr).fingers)
+            assert all(f is not None for f in net.fingers[addr])
 
-    def test_fingers_match_ring_scan_oracle(self):
-        net = build_network(40, 10, seed=5)
+    @staticmethod
+    def assert_fingers_match_ring_scan(net):
+        # finger i exists iff the node is granted it, and then points at
+        # the node found by scanning the whole ring for the nearest key
         for addr in range(net.n):
             key = net.node_keys[addr]
-            for i, finger in enumerate(net.routing_table(addr).fingers, start=1):
+            granted = net.m if net.finger_mode == FULL else min(
+                net.m, net.loads[addr]
+            )
+            assert len(net.fingers[addr]) == net.m
+            for i, finger in enumerate(net.fingers[addr], start=1):
+                if i > granted:
+                    assert finger is None
+                    continue
                 target = (key + (1 << (i - 1))) % net.size
                 want = min(
                     range(net.n),
@@ -79,39 +74,63 @@ class TestConstruction:
                 )
                 assert finger == want
 
+    def test_fingers_match_ring_scan_oracle(self):
+        self.assert_fingers_match_ring_scan(build_network(40, 10, seed=5))
+        rng = random.Random(6)
+        for count in (0, 60, 400):
+            net = build_network(40, 10, seed=5, finger_mode=ENTRY_BOUND)
+            net.distribute_entries(count, seed=count)
+            self.assert_fingers_match_ring_scan(net)
+            # single stores rebuild only the owner's table; the result
+            # must equal what a full rebuild over every node gives
+            for _ in range(150):
+                net.store_entry(rng.randrange(net.size))
+                self.assert_fingers_match_ring_scan(net)
+            fresh = ChordNetwork(net.m, net.node_keys, ENTRY_BOUND)
+            fresh.loads = list(net.loads)
+            for addr in range(net.n):
+                fresh._build_table(addr)
+            assert fresh.fingers == net.fingers
+            assert fresh._table_addrs == net._table_addrs
+
 
 class TestEntries:
     def test_entry_bound_with_no_entries_has_no_fingers(self):
         net = build_network(10, 8, seed=2, finger_mode=ENTRY_BOUND)
         for addr in range(net.n):
-            table = net.routing_table(addr)
-            assert all(f is None for f in table.fingers)
-            assert table.successor == (addr + 1) % net.n
+            assert net.fingers[addr] == (None,) * net.m
+        for line in net.snapshot().splitlines()[1:]:
+            assert " fingers= entries=0" in line
 
     def test_entry_bound_finger_rule(self):
         net = build_network(16, 10, seed=4, finger_mode=ENTRY_BOUND)
         net.distribute_entries(100, seed=9)
         for addr in range(net.n):
-            granted = sum(
-                1 for f in net.routing_table(addr).fingers if f is not None
-            )
-            assert granted == min(net.m, len(net.entries[addr]))
+            granted = sum(1 for f in net.fingers[addr] if f is not None)
+            assert granted == min(net.m, net.loads[addr])
 
     def test_entries_live_at_successor_of_their_key(self):
         net = build_network(12, 9, seed=6)
         net.distribute_entries(400, seed=7)
-        total = 0
-        for addr in range(net.n):
-            for entry in net.entries[addr]:
-                assert net.successor_of(entry.data_key) == addr
-                total += 1
-        assert total == 400
+        # replay the documented draws: a uniform node, then a uniform key
+        # in its arc (predecessor key, node key]
+        rng = random.Random(7)
+        want = [0] * net.n
+        for _ in range(400):
+            addr = rng.randrange(net.n)
+            lo, hi = net.node_keys[addr - 1], net.node_keys[addr]
+            d = (lo + 1 + rng.randrange((hi - lo) % net.size)) % net.size
+            assert net.successor_of(d) == addr
+            assert net.ground_truth(d)
+            want[addr] += 1
+        assert net.loads == want
+        assert sum(net.loads) == 400
 
     def test_per_node_mean_is_exact_and_spread_is_binomial(self):
         net = build_network(64, 12, seed=8)
         count = 6400
         net.distribute_entries(count, seed=9)
-        loads = [len(e) for e in net.entries]
+        loads = net.loads
         assert sum(loads) == count
         mean = count / net.n
         # one fixed node's load is Binomial(count, 1/n)
@@ -124,13 +143,13 @@ class TestEntries:
         m, n = 16, 256
         net = build_network(n, m, seed=31, finger_mode=ENTRY_BOUND)
         net.distribute_entries(8 * m * n, seed=32)
-        light = sum(1 for e in net.entries if len(e) < m)
+        light = sum(1 for load in net.loads if load < m)
         assert light / n < 0.01
 
     def test_ground_truth_tracks_stores(self):
         net = build_network(8, 8, seed=1)
         assert not net.ground_truth(77)
-        net.store_entry(77, "payload")
+        net.store_entry(77)
         assert net.ground_truth(77)
         assert 77 in net.stored_keys()
 
@@ -163,14 +182,6 @@ class TestLookup:
                 for prev, nxt in zip(dists, dists[1:]):
                     assert nxt <= prev // 2
 
-    def test_start_accepts_node_id_or_address(self):
-        net = build_network(32, 8, seed=9)
-        net.distribute_entries(50, seed=1)
-        d = net.stored_keys()[3]
-        by_addr = net.lookup(d, 5)
-        by_node = net.lookup(d, net.nodes[5])
-        assert by_addr == by_node
-
     def test_lookup_deterministic(self):
         net = build_network(100, 12, seed=3)
         net.distribute_entries(500, seed=4)
@@ -180,43 +191,42 @@ class TestLookup:
 
     def test_reject_policy_answers_absent_on_stall(self):
         net = build_network(24, 8, seed=3, finger_mode=ENTRY_BOUND)
-        net.store_entry(200, "x")
+        net.store_entry(200)
         outcomes = [net.lookup(200, start) for start in range(net.n)]
         stalled = [out for out in outcomes if out.error_case]
         assert stalled, "expected at least one stall without fingers"
         for out in stalled:
             assert not out.found and not out.correct
 
-    def test_walk_policy_matches_linear_ring_walk(self):
-        # no entries, so only successor/predecessor links exist
-        net = build_network(24, 8, seed=3, finger_mode=ENTRY_BOUND)
-        for d in (0, 50, 200):
-            t = net.successor_of(d)
+    @pytest.mark.parametrize(
+        "count", [0, 3 * 24, 8 * 24], ids=["no-entries", "few", "m-times-n"]
+    )
+    def test_lookup_hops_bounded_by_m(self, count):
+        # entry-bound rings with no entries (so no fingers, only ring
+        # neighbors), a few per node, and m*n: every (d, start) pair must
+        # stop within m hops, each hop shortening the bit length of the
+        # remaining distance
+        m, n = 8, 24
+        net = build_network(n, m, seed=3, finger_mode=ENTRY_BOUND)
+        net.distribute_entries(count, seed=4)
+        errors = 0
+        for d in range(net.size):
+            tkey = net.node_keys[net.successor_of(d)]
             for start in range(net.n):
-                out = net.lookup(d, start, on_stall="walk")
-                assert out.correct and not out.error_case
-                walk = (t - start) % net.n
-                if walk <= 1:
-                    expected = 0  # owner is this node or its successor
-                elif walk == net.n - 1:
-                    expected = 1  # owner is the predecessor, one hop back
+                out = net.lookup(d, start)
+                assert out.hops <= m
+                bits = [
+                    ((tkey - net.node_keys[a]) % net.size).bit_length()
+                    for a in out.path
+                ]
+                assert all(nxt < prev for prev, nxt in zip(bits, bits[1:]))
+                if out.error_case:
+                    errors += 1
+                    assert not out.found
                 else:
-                    expected = walk - 1
-                assert out.hops == expected
-                assert out.hops <= net.n - 1
-
-    def test_walk_policy_hits_hop_cap_on_large_ring(self):
-        net = build_network(200, 8, seed=5, finger_mode=ENTRY_BOUND)
-        net.store_entry(0, "x")
-        capped = [
-            out
-            for start in range(net.n)
-            for out in [net.lookup(0, start, on_stall="walk")]
-            if out.error_case
-        ]
-        assert capped, "a 200 node walk must exceed the 4m hop cap somewhere"
-        for out in capped:
-            assert out.hops <= 4 * net.m
+                    assert out.correct and out.found == net.ground_truth(d)
+        if count == 0:
+            assert errors, "a ring without fingers must stall somewhere"
 
     def test_bad_arguments(self):
         net = build_network(8, 6, seed=1)
@@ -224,8 +234,6 @@ class TestLookup:
             net.lookup(1 << 6, 0)
         with pytest.raises(ValueError):
             net.lookup(5, 99)
-        with pytest.raises(ValueError):
-            net.lookup(5, 0, on_stall="panic")
 
 
 class TestWildcardQuery:
@@ -323,7 +331,7 @@ class TestSnapshot:
         assert len(lines) == 1 + net.n
         for addr, line in enumerate(lines[1:]):
             assert line.startswith(f"node {addr}: key={net.node_keys[addr]}")
-            assert f"entries={len(net.entries[addr])}" in line
+            assert line.endswith(f" entries={net.loads[addr]}")
         assert text.endswith("\n")
 
     def test_direct_construction_validates(self):

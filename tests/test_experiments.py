@@ -233,6 +233,30 @@ class TestCli:
         assert code == 1
         assert "ASSERTION FAILED" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["missing-dir", "file-as-dir", "is-dir"])
+    def test_unwritable_out_rejected_before_run(
+        self, where, tmp_path, monkeypatch, capsys
+    ):
+        from wildquery import cli
+
+        def must_not_run(cfg):
+            raise AssertionError("the run started despite an unwritable --out")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        (tmp_path / "file").write_text("")
+        out = {
+            "missing-dir": tmp_path / "missing" / "r.csv",
+            "file-as-dir": tmp_path / "file" / "r.csv",
+            "is-dir": tmp_path,
+        }[where]
+        code = main(
+            ["position-law", "--m", "5", "--w", "2", "--trials", "100",
+             "--seed", "7", "--out", str(out)]
+        )
+        assert code == 2
+        assert "usage error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"m": 4, "w": 2, "seed": 3}))

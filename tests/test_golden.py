@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from wildquery.dht import ENTRY_BOUND, FULL, build_network
 from wildquery.experiments import ExperimentConfig, emit, run_experiment
 
 # (experiment, params, csv sha256, json sha256), all at seed 7
@@ -78,3 +79,34 @@ def test_report_digests(case, tmp_path):
         path = tmp_path / f"report.{fmt}"
         emit(report, fmt, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, fmt
+
+
+# SHA-256 of ChordNetwork.snapshot(), which prints every node's fingers
+# and entry count; the chord report digests above see these only through
+# hop counts
+SNAPSHOTS = {
+    "full": "7f2cb27c8f11537d6d8a36719213e5a7b7ff8958314e2f03936410721a593d5c",
+    "entry-bound": (
+        "b28e18a00150c393e4e7c7f0d122f7b3ac6c2382bdec82f6d946d55fa7a03514"
+    ),
+    "entry-bound-stored": (
+        "3172217515fe9937a1aacc0079730baff63533ad4967e60950e310df11f821a7"
+    ),
+}
+
+
+def _snapshot_sha(net):
+    return hashlib.sha256(net.snapshot().encode()).hexdigest()
+
+
+def test_ring_snapshot_digests():
+    net = build_network(32, 10, seed=7, finger_mode=FULL)
+    net.distribute_entries(320, seed=8)
+    assert _snapshot_sha(net) == SNAPSHOTS["full"]
+
+    net = build_network(24, 10, seed=9, finger_mode=ENTRY_BOUND)
+    net.distribute_entries(60, seed=10)
+    assert _snapshot_sha(net) == SNAPSHOTS["entry-bound"]
+    for d in (0, 5, 77, 512, 513, 1000, 1023, 77):
+        net.store_entry(d)
+    assert _snapshot_sha(net) == SNAPSHOTS["entry-bound-stored"]
