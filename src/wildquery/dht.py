@@ -5,11 +5,15 @@ the successor of d, the first node at or clockwise after d. Lookups route
 greedily: the current node moves to the routing-table node closest (in
 clockwise ring distance) to the target's successor, and stops as soon as
 the target key falls between the current node and one of its neighbors,
-answering from the identified owner's entries. A hop that cannot shorten
-the bit length of the remaining distance is the error case: the lookup
-gives up and reports the key absent, which is how sparse entry-bound
-finger tables lose correctness. Every accepted hop shortens that bit
-length, so no lookup takes more than m hops.
+answering from the identified owner's entries. That closest node is
+Chord's closest preceding finger: the candidate with the largest
+clockwise offset from the current node that does not pass the target.
+Each node keeps its candidates (ring neighbors and granted fingers)
+sorted by that offset, so one bisect picks the hop. A hop that cannot
+shorten the bit length of the remaining distance is the error case: the
+lookup gives up and reports the key absent, which is how sparse
+entry-bound finger tables lose correctness. Every accepted hop shortens
+that bit length, so no lookup takes more than m hops.
 
 Finger tables come in two modes. "full" grants every node all m fingers
 (finger i points at the successor of key + 2**(i-1)). "entry-bound"
@@ -24,9 +28,10 @@ safe. Redistributing entries requires exclusive access.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PatternShapeError, SizeLimitError
 from .wildcard import QueryPattern
@@ -43,8 +48,7 @@ def ring_distance(a: int, b: int, m: int) -> int:
     return (b - a) & ((1 << m) - 1)
 
 
-@dataclass(frozen=True)
-class LookupOutcome:
+class LookupOutcome(NamedTuple):
     """Result of a single-key lookup.
 
     `found` is the protocol's answer, `correct` compares it against the
@@ -106,7 +110,10 @@ class ChordNetwork:
         self.loads = [0] * n
         self._stored: Counter = Counter()
         self.fingers: list[tuple] = [()] * n
-        self._table_addrs: list[tuple[int, ...]] = [()] * n
+        # hop candidates of each node sorted by clockwise offset from it,
+        # as aligned lists of addresses and offsets
+        self._table_addrs: list[list[int]] = [[] for _ in range(n)]
+        self._table_offs: list[list[int]] = [[] for _ in range(n)]
         for addr in range(n):
             self._build_table(addr)
 
@@ -117,18 +124,23 @@ class ChordNetwork:
     def _build_table(self, addr: int) -> None:
         """Set one node's fingers from its grant, and its hop candidates."""
         n, m, mask = self.n, self.m, self.size - 1
-        key = self.node_keys[addr]
+        keys = self.node_keys
+        key = keys[addr]
         granted = m if self.finger_mode == FULL else min(m, self.loads[addr])
         fingers = tuple(
             self.successor_of((key + (1 << i)) & mask) if i < granted else None
             for i in range(m)
         )
         self.fingers[addr] = fingers
-        candidates = dict.fromkeys(
-            [(addr + 1) % n, (addr - 1) % n] + [f for f in fingers if f is not None]
-        )
-        candidates.pop(addr, None)  # moving to oneself is not a hop
-        self._table_addrs[addr] = tuple(candidates)
+        by_off = {
+            (keys[u] - key) & mask: u
+            for u in ((addr + 1) % n, (addr - 1) % n, *fingers)
+            if u is not None
+        }
+        by_off.pop(0, None)  # moving to oneself is not a hop
+        offs = sorted(by_off)
+        self._table_offs[addr] = offs
+        self._table_addrs[addr] = [by_off[off] for off in offs]
 
     # -- entries -----------------------------------------------------------
 
@@ -191,6 +203,15 @@ class ChordNetwork:
         error case). Each accepted hop therefore strictly shortens the bit
         length of a distance below 2**m, so a lookup takes at most m hops
         and needs no hop cap.
+
+        One bisect finds the nearest table node. Let `dist` be the
+        clockwise distance from the current node a to the owner, and
+        off_u the clockwise offset of candidate u from a. When
+        off_u <= dist, u is `dist - off_u` from the owner; otherwise the
+        distance wraps past 2**m and exceeds `dist`. The nearest candidate
+        closer than a itself is therefore the one with the largest
+        off_u <= dist, and there is none when every offset exceeds
+        `dist`. Distinct nodes have distinct offsets, so nothing ties.
         """
         if not 0 <= d < self.size:
             raise ValueError(f"data key {d} outside the ring")
@@ -198,40 +219,30 @@ class ChordNetwork:
             raise ValueError(f"bad start node {start!r}")
 
         keys = self.node_keys
-        tables = self._table_addrs
+        addrs = self._table_addrs
+        offs = self._table_offs
         mask = self.size - 1
         n = self.n
 
         a = start
-        t = self.successor_of(d)
+        t = bisect_left(keys, d) % n
         tkey = keys[t]
         path = [a]
         error = False
         while a != t and (a + 1) % n != t:
             dist = (tkey - keys[a]) & mask
-            best = a
-            best_dist = dist
-            # distances to a fixed target determine keys uniquely on the
-            # ring, so distinct nodes never tie for the minimum
-            for u in tables[a]:
-                du = (tkey - keys[u]) & mask
-                if du < best_dist:
-                    best_dist = du
-                    best = u
-            if best_dist.bit_length() >= dist.bit_length():
+            j = bisect_right(offs[a], dist) - 1
+            if j < 0 or (dist - offs[a][j]).bit_length() >= dist.bit_length():
                 error = True  # no table node improves a bit of the distance
                 break
-            a = best
+            a = addrs[a][j]
             path.append(a)
 
-        truth = self._stored[d] > 0
+        # a Counter entry is never 0, so membership is the ground truth
+        truth = d in self._stored
         found = truth and not error
         return LookupOutcome(
-            found=found,
-            correct=found == truth,
-            hops=len(path) - 1,
-            path=tuple(path),
-            error_case=error,
+            found, found == truth, len(path) - 1, tuple(path), error
         )
 
     def wildcard_query(

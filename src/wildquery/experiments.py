@@ -747,11 +747,13 @@ def emit(report: ExperimentReport, fmt: str, path) -> None:
                         ]
                     )
         else:
+            # rows hold only scalars, so their __dict__ serialises as
+            # asdict() would, without the deep copy
             payload = {
                 "experiment": report.experiment,
                 "version": report.version,
                 "config": report.config,
-                "rows": [asdict(row) for row in report.rows],
+                "rows": [vars(row) for row in report.rows],
                 "aggregates": report.aggregates,
             }
             with open(path, "w") as handle:

@@ -125,11 +125,13 @@ class QueryPattern:
         return tuple(sorted(m - i for i, s in enumerate(self.symbols) if s is None))
 
     def expansions(self, k: int):
-        """Yield the k**w concrete keys in search order.
+        """Return an iterator over the k**w concrete keys in search order.
 
         The order counts the wildcard letters like a base-k number whose
         least significant digit is the least significant wildcard, which is
         exactly the order the backtracking search decides memberships in.
+        The keys are built by list doubling, most significant wildcard
+        first: each key so far is followed by its k extensions in turn.
         """
         m = len(self.symbols)
         base = 0
@@ -140,8 +142,10 @@ class QueryPattern:
                 weights.append(place)
             else:
                 base += s * place
-        for combo in itertools.product(range(k), repeat=len(weights)):
-            yield base + sum(a * wgt for a, wgt in zip(combo, weights))
+        keys = [base]
+        for wgt in weights:
+            keys = [x + a * wgt for x in keys for a in range(k)]
+        return iter(keys)
 
     def __str__(self) -> str:
         return self.to_string()

@@ -1,19 +1,22 @@
 """The traced benchmark's hooks still name real library entry points.
 
 perfbench/tracing.py wraps functions the experiment runners reach through
-`wildquery.experiments` and methods of `ChordNetwork` by name, and reads
+`wildquery.experiments` and methods of `ChordNetwork` by name, reads
 counts from fixed positional arguments (`distribute_entries`' entry
-count, `random_trie`'s population).
+count, `random_trie`'s population) and from named result fields, and
+counts one traced lookup per wildcard expansion.
 The unit tests never run the benchmark, so a rename here would otherwise
 surface only as a broken traced run.
 """
 
+import dataclasses
 import importlib.util
 import inspect
 from pathlib import Path
 
 from wildquery import experiments
-from wildquery.dht import ChordNetwork
+from wildquery.dht import ChordNetwork, LookupOutcome, build_network
+from wildquery.wildcard import QueryPattern, QueryResult
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -40,3 +43,28 @@ def test_counted_arguments_sit_where_the_tracer_reads_them():
     assert params[:2] == ["self", "count"]
     params = list(inspect.signature(experiments.random_trie).parameters)
     assert params[2] == "population"
+
+
+def test_result_fields_the_tracer_reads():
+    # on_lookup reads hops, error_case and correct; on_query reads steps,
+    # matches and per_key_steps
+    assert {"hops", "error_case", "correct"} <= set(LookupOutcome._fields)
+    fields = {f.name for f in dataclasses.fields(QueryResult)}
+    assert {"steps", "matches", "per_key_steps"} <= fields
+
+
+def test_wildcard_query_calls_lookup_once_per_expansion(monkeypatch):
+    # the traced dht.lookups and dht.hops_total pins count these calls
+    calls = []
+    lookup = ChordNetwork.lookup
+
+    def counted(self, d, start):
+        calls.append(d)
+        return lookup(self, d, start)
+
+    monkeypatch.setattr(ChordNetwork, "lookup", counted)
+    net = build_network(16, 6, seed=1)
+    pattern = QueryPattern.from_string("0*1*0*")
+    res = net.wildcard_query(pattern, 0)
+    assert len(calls) == 8
+    assert calls == list(res.keys)

@@ -92,6 +92,7 @@ class TestConstruction:
                 fresh._build_table(addr)
             assert fresh.fingers == net.fingers
             assert fresh._table_addrs == net._table_addrs
+            assert fresh._table_offs == net._table_offs
 
 
 class TestEntries:
@@ -227,6 +228,62 @@ class TestLookup:
                     assert out.correct and out.found == net.ground_truth(d)
         if count == 0:
             assert errors, "a ring without fingers must stall somewhere"
+
+    @staticmethod
+    def scan_route(net, start, t):
+        """Route to owner t with the hop scan `lookup` once ran.
+
+        Candidates are the ring neighbors and the granted fingers; the hop
+        goes to the one strictly nearest the owner, and a hop that does
+        not shorten the distance's bit length is the error case.
+        Returns (path, error_case).
+        """
+        keys, mask, n = net.node_keys, net.size - 1, net.n
+        tkey = keys[t]
+        a = start
+        path = [a]
+        while a != t and (a + 1) % n != t:
+            dist = (tkey - keys[a]) & mask
+            candidates = {(a + 1) % n, (a - 1) % n}
+            candidates.update(f for f in net.fingers[a] if f is not None)
+            candidates.discard(a)
+            best, best_dist = a, dist
+            for u in candidates:
+                du = (tkey - keys[u]) & mask
+                if du < best_dist:
+                    best, best_dist = u, du
+            if best_dist.bit_length() >= dist.bit_length():
+                return path, True
+            a = best
+            path.append(a)
+        return path, False
+
+    def assert_bisect_matches_scan(self, net):
+        keys, mask = net.node_keys, net.size - 1
+        for a in range(net.n):
+            addrs, offs = net._table_addrs[a], net._table_offs[a]
+            assert len(addrs) == len(offs)
+            assert all(x < y for x, y in zip(offs, offs[1:]))
+            assert offs == [(keys[u] - keys[a]) & mask for u in addrs]
+        for t in range(net.n):
+            for start in range(net.n):
+                out = net.lookup(keys[t], start)
+                assert (list(out.path), out.error_case) == self.scan_route(
+                    net, start, t
+                )
+
+    def test_bisect_hop_matches_scan_oracle(self):
+        net = build_network(40, 10, seed=5)
+        net.distribute_entries(200, seed=1)
+        self.assert_bisect_matches_scan(net)
+        rng = random.Random(2)
+        for count in (0, 3 * 40, 10 * 40):
+            net = build_network(40, 10, seed=5, finger_mode=ENTRY_BOUND)
+            net.distribute_entries(count, seed=count)
+            self.assert_bisect_matches_scan(net)
+            for _ in range(80):
+                net.store_entry(rng.randrange(net.size))
+            self.assert_bisect_matches_scan(net)
 
     def test_bad_arguments(self):
         net = build_network(8, 6, seed=1)

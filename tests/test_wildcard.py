@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -37,6 +38,28 @@ class TestPattern:
         assert list(pattern.expansions(2)) == [0b000, 0b001, 0b100, 0b101]
         ternary = QueryPattern.from_string("*1")
         assert list(ternary.expansions(3)) == [1, 4, 7]
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_expansions_match_product_formula(self, k):
+        # reference: itertools.product over the wildcard letters, most
+        # significant wildcard first, each key summed from place values
+        m = 5
+        rng = random.Random(k)
+        for w in range(m + 1):
+            for positions in enumerate_configurations(m, w):
+                letters = [rng.randrange(k) for _ in range(m - w)]
+                pattern = QueryPattern.from_configuration(m, positions, letters)
+                base = sum(
+                    s * k ** (m - 1 - i)
+                    for i, s in enumerate(pattern.symbols)
+                    if s is not None
+                )
+                weights = [k ** (z - 1) for z in reversed(positions)]
+                want = [
+                    base + sum(a * wgt for a, wgt in zip(combo, weights))
+                    for combo in itertools.product(range(k), repeat=w)
+                ]
+                assert list(pattern.expansions(k)) == want
 
     def test_bad_characters_rejected(self):
         with pytest.raises(PatternShapeError):
