@@ -37,7 +37,6 @@ from .dht import (
     LookupOutcome,
     RingQueryResult,
     build_network,
-    ring_distance,
 )
 
 __all__ = [
@@ -63,5 +62,4 @@ __all__ = [
     "LookupOutcome",
     "RingQueryResult",
     "build_network",
-    "ring_distance",
 ]

@@ -134,6 +134,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 def _check_writable(out: str) -> None:
     """Refuse a report path `emit` could not write, before the run starts."""
+    # abspath("") is the working directory, which would pass the checks below
+    if not out.strip():
+        raise SizeLimitError(f"cannot write {out!r}: the report path is blank")
     parent = os.path.dirname(os.path.abspath(out))
     writable = os.path.isdir(parent) and os.access(parent, os.W_OK)
     if os.path.isdir(out) or not writable:

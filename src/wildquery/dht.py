@@ -43,11 +43,6 @@ MAX_RING_BITS = 24
 DEFAULT_MAX_LOOKUPS = 1 << 12
 
 
-def ring_distance(a: int, b: int, m: int) -> int:
-    """Clockwise distance from a to b on the 2**m ring."""
-    return (b - a) & ((1 << m) - 1)
-
-
 class LookupOutcome(NamedTuple):
     """Result of a single-key lookup.
 
@@ -69,15 +64,13 @@ class RingQueryResult:
     """A wildcard query resolved over the ring, key by key.
 
     Keys appear in protocol order (all wildcards 0 first, then repeated
-    flips of the least significant unfinished wildcard). Hop and
-    correctness entries line up with `keys`.
+    flips of the least significant unfinished wildcard). Hop counts line
+    up with `keys`.
     """
 
     keys: tuple[int, ...]
     matches: frozenset[int]
     per_key_hops: tuple[int, ...]
-    per_key_correct: tuple[bool, ...]
-    per_key_error: tuple[bool, ...]
     total_hops: int
     resolved: bool
 
@@ -271,15 +264,13 @@ class ChordNetwork:
         peer = start
         keys = []
         hops = []
-        correct = []
-        errors = []
+        resolved = True
         matches = set()
         for d in pattern.expansions(2):
             outcome = self.lookup(d, peer)
             keys.append(d)
             hops.append(outcome.hops)
-            correct.append(outcome.correct)
-            errors.append(outcome.error_case)
+            resolved = resolved and not outcome.error_case
             if outcome.found:
                 matches.add(d)
             peer = outcome.path[-1]
@@ -287,10 +278,8 @@ class ChordNetwork:
             keys=tuple(keys),
             matches=frozenset(matches),
             per_key_hops=tuple(hops),
-            per_key_correct=tuple(correct),
-            per_key_error=tuple(errors),
             total_hops=sum(hops),
-            resolved=not any(errors),
+            resolved=resolved,
         )
 
     # -- introspection -----------------------------------------------------

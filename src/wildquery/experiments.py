@@ -19,7 +19,7 @@ import math
 import random
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 
 from . import __version__
@@ -41,20 +41,6 @@ from .wildcard import (
     sample_configuration,
 )
 
-CSV_COLUMNS = (
-    "experiment,m,w,k,n,param,trial,measured,bound_num,bound_den,ratio,ok,seed"
-)
-
-EXPERIMENT_NAMES = (
-    "trie-exact",
-    "trie-random",
-    "identity-sweep",
-    "position-law",
-    "chord-single",
-    "chord-wildcard",
-    "chord-decay",
-)
-
 DECAY_SEEDS = 20
 
 # desk-scale ceilings; anything larger is refused with a sizing hint
@@ -65,6 +51,7 @@ MAX_LAW_TRIALS = 10_000_000
 MAX_RING_NODES = 1 << 12
 MAX_SWEEP_WORK = 1 << 21
 MAX_CHORD_TRIALS = 100_000
+MAX_ENTRIES_FACTOR = 64
 
 
 class ExperimentFailure(Exception):
@@ -110,6 +97,9 @@ class Row:
     seed: int | str
 
 
+CSV_COLUMNS = ",".join(f.name for f in fields(Row))
+
+
 @dataclass
 class ExperimentReport:
     experiment: str
@@ -136,15 +126,61 @@ def _config_label(positions) -> str:
     return "+".join(map(str, positions)) if positions else "-"
 
 
-def _ratio(measured, num: int, den: int) -> float | None:
-    if num == 0:
-        return None
-    return float(measured) * den / num
+def _row_adder(cfg, rows, m=None, w=None, k=None, n=None, with_ratio=True):
+    """Return add(param, measured, bound, ok=True), which appends a Row
+    numbered by its index in `rows`. `bound` is an int or a Fraction."""
+    experiment, seed, append = cfg.experiment, cfg.seed, rows.append
+
+    def add(param, measured, bound, ok=True) -> None:
+        num, den = bound.numerator, bound.denominator
+        ratio = float(measured) * den / num if with_ratio and num else None
+        append(Row(
+            experiment, m, w, k, n, param, len(rows), measured, num, den,
+            ratio, ok, seed,
+        ))
+
+    return add
+
+
+def _report(cfg, rows: list[Row], aggregates: dict) -> ExperimentReport:
+    return ExperimentReport(
+        cfg.experiment, asdict(cfg), __version__, rows, aggregates
+    )
 
 
 def _require(cond: bool, hint: str) -> None:
     if not cond:
         raise SizingError(hint)
+
+
+def _require_trie(cfg) -> None:
+    """The m/w/k ranges and the trie key limit of both trie runners."""
+    m, w, k = cfg.m, cfg.w, cfg.k
+    _require(1 <= m, f"m must be >= 1, got {m}")
+    _require(0 <= w <= m, f"need 0 <= w <= m, got w={w}, m={m}")
+    _require(k >= 2, f"k must be >= 2, got {k}")
+    # k >= 2 and m >= 1 give 2**m <= k**m and k <= k**m, so a larger m or
+    # k is refused before k**m, whose cost grows with m, is computed
+    _require(
+        m < MAX_TRIE_KEYS.bit_length()
+        and k <= MAX_TRIE_KEYS
+        and k**m <= MAX_TRIE_KEYS,
+        f"k**m exceeds the limit of {MAX_TRIE_KEYS} trie keys; lower m or k",
+    )
+
+
+def _require_ring(cfg, mode: str, min_m: int = 1) -> None:
+    """The mode, ring size and entry ranges of the three chord runners."""
+    m, n = cfg.m, cfg.n
+    _require(cfg.mode == mode, f"{cfg.experiment} requires --mode {mode}")
+    _require(2 <= n <= MAX_RING_NODES, f"need 2 <= n <= {MAX_RING_NODES}")
+    _require(min_m <= m <= 16, f"need {min_m} <= m <= 16, got {m}")
+    _require(n <= 1 << m, f"need n <= 2**m, got n={n}, m={m}")
+    _require(
+        0 <= cfg.entries_factor <= MAX_ENTRIES_FACTOR,
+        f"need 0 <= entries factor <= {MAX_ENTRIES_FACTOR}, "
+        f"got {cfg.entries_factor}",
+    )
 
 
 # -- trie experiments -------------------------------------------------------
@@ -157,12 +193,8 @@ def run_trie_exact(cfg: ExperimentConfig) -> ExperimentReport:
     exactly. Aggregate: the exact mean over configurations must equal the
     closed-form average bound.
     """
-    started = time.perf_counter()
+    _require_trie(cfg)
     m, w, k = cfg.m, cfg.w, cfg.k
-    _require(1 <= m, f"m must be >= 1, got {m}")
-    _require(0 <= w <= m, f"need 0 <= w <= m, got w={w}, m={m}")
-    _require(k >= 2, f"k must be >= 2, got {k}")
-    _require(k**m <= MAX_TRIE_KEYS, f"k**m = {k ** m} too large; lower m or k")
     work = math.comb(m, w) * k**m
     _require(
         work <= MAX_ENUM_WORK,
@@ -172,47 +204,33 @@ def run_trie_exact(cfg: ExperimentConfig) -> ExperimentReport:
     bound_mean = mean_step_bound(m, w, k)
     trie = complete_trie(k, m)
     rows: list[Row] = []
-    total = 0
+    add = _row_adder(cfg, rows, m=m, w=w, k=k)
     configs = enumerate_configurations(m, w)
-    for trial, positions in enumerate(configs):
+    for positions in configs:
         bound = config_step_bound(m, w, positions, k)
         steps = backtracking_query(
             trie, QueryPattern.from_configuration(m, positions)
         ).steps
         ok = steps == bound
-        rows.append(
-            Row(
-                "trie-exact", m, w, k, None, _config_label(positions), trial,
-                steps, bound, 1, _ratio(steps, bound, 1), ok, cfg.seed,
-            )
-        )
+        add(_config_label(positions), steps, bound, ok)
         if not ok:
             raise ExperimentFailure(
                 f"steps {steps} != bound {bound} for configuration {positions}"
             )
-        total += steps
-    measured_mean = Fraction(total, len(configs))
+    measured_mean = Fraction(sum(row.measured for row in rows), len(rows))
     if measured_mean != bound_mean:
         raise ExperimentFailure(
             f"mean {measured_mean} != closed form {bound_mean} for "
             f"m={m}, w={w}, k={k}"
         )
-    report = ExperimentReport(
-        experiment="trie-exact",
-        config=asdict(cfg),
-        version=__version__,
-        rows=rows,
-        aggregates={
-            "configurations": len(configs),
-            "measured_mean": _frac(measured_mean),
-            "measured_max": max(row.measured for row in rows),
-            "bound_mean": _frac(bound_mean),
-            "mean_equals_bound": True,
-            "all_rows_tight": True,
-        },
-    )
-    report.wall_clock_s = time.perf_counter() - started
-    return report
+    return _report(cfg, rows, {
+        "configurations": len(configs),
+        "measured_mean": _frac(measured_mean),
+        "measured_max": max(row.measured for row in rows),
+        "bound_mean": _frac(bound_mean),
+        "mean_equals_bound": True,
+        "all_rows_tight": True,
+    })
 
 
 def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
@@ -223,13 +241,9 @@ def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
     sample mean must stay within three standard errors below-or-at the
     average bound.
     """
-    started = time.perf_counter()
+    _require_trie(cfg)
     m, w, k = cfg.m, cfg.w, cfg.k
     trials, population = cfg.trials, cfg.population
-    _require(1 <= m, f"m must be >= 1, got {m}")
-    _require(0 <= w <= m, f"need 0 <= w <= m, got w={w}, m={m}")
-    _require(k >= 2, f"k must be >= 2, got {k}")
-    _require(k**m <= MAX_TRIE_KEYS, f"k**m = {k ** m} too large; lower m or k")
     _require(0 <= population <= k**m, f"population {population} over k**m")
     _require(1 <= trials <= 1_000_000, f"trials {trials} out of range")
 
@@ -237,7 +251,7 @@ def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
     trie_count = max(1, trials // 100)
     trie_block = -1
     rows: list[Row] = []
-    samples: list[int] = []
+    add = _row_adder(cfg, rows, m=m, w=w, k=k)
     for trial in range(trials):
         block = trial * trie_count // trials
         if block != trie_block:
@@ -249,17 +263,12 @@ def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
         bound = config_step_bound(m, w, positions, k)
         steps = backtracking_query(trie, pattern).steps
         ok = steps <= bound
-        rows.append(
-            Row(
-                "trie-random", m, w, k, None, _config_label(positions), trial,
-                steps, bound, 1, _ratio(steps, bound, 1), ok, cfg.seed,
-            )
-        )
+        add(_config_label(positions), steps, bound, ok)
         if not ok:
             raise ExperimentFailure(
                 f"steps {steps} > bound {bound} at trial {trial}"
             )
-        samples.append(steps)
+    samples = [row.measured for row in rows]
     mean = statistics.fmean(samples)
     sem = (
         statistics.stdev(samples) / math.sqrt(len(samples))
@@ -271,24 +280,16 @@ def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
         raise ExperimentFailure(
             f"sample mean {mean} above bound {float(bound_mean)} + 3*SEM {sem}"
         )
-    report = ExperimentReport(
-        experiment="trie-random",
-        config=asdict(cfg),
-        version=__version__,
-        rows=rows,
-        aggregates={
-            "trials": trials,
-            "distinct_tries": trie_count,
-            "sample_mean": mean,
-            "sample_max": max(samples),
-            "sample_sem": sem,
-            "bound_mean": _frac(bound_mean),
-            "mean_within_3_sigma": True,
-            "bound_violations": 0,
-        },
-    )
-    report.wall_clock_s = time.perf_counter() - started
-    return report
+    return _report(cfg, rows, {
+        "trials": trials,
+        "distinct_tries": trie_count,
+        "sample_mean": mean,
+        "sample_max": max(samples),
+        "sample_sem": sem,
+        "bound_mean": _frac(bound_mean),
+        "mean_within_3_sigma": True,
+        "bound_violations": 0,
+    })
 
 
 def run_identity_sweep(cfg: ExperimentConfig) -> ExperimentReport:
@@ -297,25 +298,16 @@ def run_identity_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     Checks that the hypergeometric double-sum mean equals the closed form
     and that the binomial convolution collapses to a single binomial.
     """
-    started = time.perf_counter()
     m_max = cfg.m
     _require(1 <= m_max <= MAX_IDENTITY_M, f"need 1 <= m <= {MAX_IDENTITY_M}")
     rows: list[Row] = []
-    trial = 0
     for m in range(1, m_max + 1):
         for w in range(1, m + 1):
+            add = _row_adder(cfg, rows, m=m, w=w, k=2)
             by_sum = mean_step_bound_hypergeometric(m, w)
             closed = mean_step_bound(m, w, 2)
             ok = by_sum == closed
-            rows.append(
-                Row(
-                    "identity-sweep", m, w, 2, None, "mean-form", trial,
-                    float(by_sum), closed.numerator, closed.denominator,
-                    _ratio(by_sum, closed.numerator, closed.denominator),
-                    ok, cfg.seed,
-                )
-            )
-            trial += 1
+            add("mean-form", float(by_sum), closed, ok)
             if not ok:
                 raise ExperimentFailure(
                     f"sum form {by_sum} != closed form {closed} at m={m}, w={w}"
@@ -323,30 +315,16 @@ def run_identity_sweep(cfg: ExperimentConfig) -> ExperimentReport:
             for j in range(1, w + 1):
                 lhs, rhs = binomial_convolution_identity(m, w, j)
                 ok = lhs == rhs
-                rows.append(
-                    Row(
-                        "identity-sweep", m, w, 2, None, f"convolution-j={j}",
-                        trial, lhs, rhs, 1, _ratio(lhs, rhs, 1), ok, cfg.seed,
-                    )
-                )
-                trial += 1
+                add(f"convolution-j={j}", lhs, rhs, ok)
                 if not ok:
                     raise ExperimentFailure(
                         f"convolution {lhs} != {rhs} at m={m}, w={w}, j={j}"
                     )
-    report = ExperimentReport(
-        experiment="identity-sweep",
-        config=asdict(cfg),
-        version=__version__,
-        rows=rows,
-        aggregates={
-            "max_m": m_max,
-            "checks": len(rows),
-            "all_equal": True,
-        },
-    )
-    report.wall_clock_s = time.perf_counter() - started
-    return report
+    return _report(cfg, rows, {
+        "max_m": m_max,
+        "checks": len(rows),
+        "all_equal": True,
+    })
 
 
 def run_position_law(cfg: ExperimentConfig) -> ExperimentReport:
@@ -356,7 +334,6 @@ def run_position_law(cfg: ExperimentConfig) -> ExperimentReport:
     empirical rank-position frequencies from `trials` uniform draws must
     sit within three binomial sigmas of the exact values.
     """
-    started = time.perf_counter()
     m, w, trials = cfg.m, cfg.w, cfg.trials
     _require(1 <= w <= m <= 64, f"need 1 <= w <= m <= 64, got m={m}, w={w}")
     _require(1 <= trials <= MAX_LAW_TRIALS, f"trials {trials} out of range")
@@ -369,43 +346,27 @@ def run_position_law(cfg: ExperimentConfig) -> ExperimentReport:
             counts[j][z] += 1
 
     rows: list[Row] = []
-    trial = 0
+    add = _row_adder(cfg, rows, m=m, w=w)
     for j in range(1, w + 1):
-        total = sum(wildcard_position_pmf(m, w, z, j) for z in range(1, m + 1))
-        if total != 1:
-            raise ExperimentFailure(f"pmf sums to {total} != 1 for j={j}")
-        for z in range(1, m + 1):
-            p = wildcard_position_pmf(m, w, z, j)
+        pmf = [wildcard_position_pmf(m, w, z, j) for z in range(1, m + 1)]
+        if sum(pmf) != 1:
+            raise ExperimentFailure(f"pmf sums to {sum(pmf)} != 1 for j={j}")
+        for z, p in enumerate(pmf, start=1):
             freq = counts[j][z] / trials
             sigma = math.sqrt(float(p) * (1 - float(p)) / trials)
             ok = abs(freq - float(p)) <= 3 * sigma
-            rows.append(
-                Row(
-                    "position-law", m, w, None, None, f"j={j}/z={z}", trial,
-                    freq, p.numerator, p.denominator,
-                    _ratio(freq, p.numerator, p.denominator), ok, cfg.seed,
-                )
-            )
-            trial += 1
+            add(f"j={j}/z={z}", freq, p, ok)
             if not ok:
                 raise ExperimentFailure(
                     f"frequency {freq} off exact {p} by more than 3 sigma "
                     f"at j={j}, z={z}"
                 )
-    report = ExperimentReport(
-        experiment="position-law",
-        config=asdict(cfg),
-        version=__version__,
-        rows=rows,
-        aggregates={
-            "trials": trials,
-            "cells": len(rows),
-            "sums_exact": True,
-            "all_within_3_sigma": True,
-        },
-    )
-    report.wall_clock_s = time.perf_counter() - started
-    return report
+    return _report(cfg, rows, {
+        "trials": trials,
+        "cells": len(rows),
+        "sums_exact": True,
+        "all_within_3_sigma": True,
+    })
 
 
 # -- chord experiments -------------------------------------------------------
@@ -432,12 +393,8 @@ def run_chord_single(cfg: ExperimentConfig) -> ExperimentReport:
     trial samples one pair. Every lookup must answer correctly, use at
     most m hops, and halve the remaining distance on every hop.
     """
-    started = time.perf_counter()
+    _require_ring(cfg, FULL)
     m, n, trials = cfg.m, cfg.n, cfg.trials
-    _require(cfg.mode == FULL, "chord-single requires --mode full")
-    _require(2 <= n <= MAX_RING_NODES, f"need 2 <= n <= {MAX_RING_NODES}")
-    _require(1 <= m <= 16, f"need 1 <= m <= 16, got {m}")
-    _require(n <= 1 << m, f"need n <= 2**m, got n={n}, m={m}")
     if trials == 0:
         _require(
             (1 << m) * n <= MAX_SWEEP_WORK,
@@ -450,16 +407,13 @@ def run_chord_single(cfg: ExperimentConfig) -> ExperimentReport:
     net.distribute_entries(cfg.entries_factor * m * n, f"{cfg.seed}|entries")
 
     rows: list[Row] = []
-    lookups = 0
+    add = _row_adder(cfg, rows, m=m, n=n)
     hop_total = 0
-    hop_max = 0
 
     def check(d: int, start: int):
-        nonlocal lookups, hop_total, hop_max
+        nonlocal hop_total
         out = net.lookup(d, start)
-        lookups += 1
         hop_total += out.hops
-        hop_max = max(hop_max, out.hops)
         if not out.correct or out.error_case:
             raise ExperimentFailure(f"incorrect lookup d={d} start={start}")
         if out.hops > m:
@@ -474,44 +428,24 @@ def run_chord_single(cfg: ExperimentConfig) -> ExperimentReport:
 
     if trials == 0:
         for d in range(net.size):
-            worst = 0
-            for start in range(n):
-                worst = max(worst, check(d, start).hops)
-            rows.append(
-                Row(
-                    "chord-single", m, None, None, n, f"d={d}", d,
-                    worst, m, 1, _ratio(worst, m, 1), True, cfg.seed,
-                )
-            )
+            worst = max(check(d, start).hops for start in range(n))
+            add(f"d={d}", worst, m)
     else:
         for trial in range(trials):
             rng = _rng(cfg.seed, "trial", trial)
             d = rng.randrange(net.size)
             start = rng.randrange(n)
             out = check(d, start)
-            rows.append(
-                Row(
-                    "chord-single", m, None, None, n, f"d={d}/start={start}",
-                    trial, out.hops, m, 1, _ratio(out.hops, m, 1), True,
-                    cfg.seed,
-                )
-            )
+            add(f"d={d}/start={start}", out.hops, m)
 
-    report = ExperimentReport(
-        experiment="chord-single",
-        config=asdict(cfg),
-        version=__version__,
-        rows=rows,
-        aggregates={
-            "lookups": lookups,
-            "mean_hops": hop_total / lookups,
-            "max_hops": hop_max,
-            "all_correct": True,
-            "halving_violations": 0,
-        },
-    )
-    report.wall_clock_s = time.perf_counter() - started
-    return report
+    lookups = net.size * n if trials == 0 else trials
+    return _report(cfg, rows, {
+        "lookups": lookups,
+        "mean_hops": hop_total / lookups,
+        "max_hops": max(row.measured for row in rows),
+        "all_correct": True,
+        "halving_violations": 0,
+    })
 
 
 def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
@@ -522,15 +456,11 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
     average bound plus m (first lookup slack) and under half the naive
     2**w * m cost.
     """
-    started = time.perf_counter()
+    _require_ring(cfg, FULL)
     m, w, n, trials = cfg.m, cfg.w, cfg.n, cfg.trials
-    _require(cfg.mode == FULL, "chord-wildcard requires --mode full")
-    _require(2 <= n <= MAX_RING_NODES, f"need 2 <= n <= {MAX_RING_NODES}")
-    _require(1 <= m <= 16, f"need 1 <= m <= 16, got {m}")
-    _require(n <= 1 << m, f"need n <= 2**m, got n={n}, m={m}")
     _require(0 <= w <= min(m, 6), f"need 0 <= w <= min(m, 6), got {w}")
     _require(1 <= trials <= MAX_CHORD_TRIALS, f"trials {trials} out of range")
-    _require(1 <= cfg.entries_factor <= 64, "entries factor out of range")
+    _require(1 <= cfg.entries_factor, "entries factor out of range")
 
     net = build_network(n, m, f"{cfg.seed}|net", FULL)
     net.distribute_entries(cfg.entries_factor * m * n, f"{cfg.seed}|entries")
@@ -538,9 +468,8 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
     naive = (1 << w) * m
 
     rows: list[Row] = []
-    hop_total = 0
+    add = _row_adder(cfg, rows, m=m, w=w, n=n)
     sharp_keys = 0
-    later_keys = 0
     for trial in range(trials):
         rng = _rng(cfg.seed, "trial", trial)
         positions = sample_configuration(m, w, rng)
@@ -550,27 +479,20 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
         res = net.wildcard_query(pattern, start)
         bound = config_step_bound(m, w, positions, 2)
         ok = res.resolved and res.total_hops <= bound
-        rows.append(
-            Row(
-                "chord-wildcard", m, w, None, n, _config_label(positions),
-                trial, res.total_hops, bound, 1,
-                _ratio(res.total_hops, bound, 1), ok, cfg.seed,
-            )
-        )
+        add(_config_label(positions), res.total_hops, bound, ok)
         if not res.resolved:
             raise ExperimentFailure(f"unresolved query at trial {trial}")
         if res.total_hops > bound:
             raise ExperimentFailure(
                 f"total hops {res.total_hops} > bound {bound} at trial {trial}"
             )
-        hop_total += res.total_hops
         # how often the idealized one-hop-per-bit accounting held exactly
         for c in range(1, 1 << w):
             flip = positions[(((c - 1) ^ c).bit_length()) - 1]
-            later_keys += 1
             sharp_keys += res.per_key_hops[c] <= flip
 
-    mean = hop_total / trials
+    mean = sum(row.measured for row in rows) / trials
+    later_keys = trials * ((1 << w) - 1)  # every key after each query's first
     if mean > float(bound_mean) + m:
         raise ExperimentFailure(
             f"mean hops {mean} above bound {float(bound_mean)} + m"
@@ -579,25 +501,17 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
     # compares backtracking reuse against 2**w independent lookups
     if w >= 1 and not mean < 0.5 * naive:
         raise ExperimentFailure(f"mean hops {mean} not under half of {naive}")
-    report = ExperimentReport(
-        experiment="chord-wildcard",
-        config=asdict(cfg),
-        version=__version__,
-        rows=rows,
-        aggregates={
-            "trials": trials,
-            "mean_total_hops": mean,
-            "max_total_hops": max(row.measured for row in rows),
-            "bound_mean": _frac(bound_mean),
-            "bound_mean_plus_m": float(bound_mean) + m,
-            "naive_hops": naive,
-            "mean_under_bound_plus_m": True,
-            "mean_under_half_naive": True if w >= 1 else None,
-            "sharp_locality_rate": sharp_keys / later_keys if later_keys else None,
-        },
-    )
-    report.wall_clock_s = time.perf_counter() - started
-    return report
+    return _report(cfg, rows, {
+        "trials": trials,
+        "mean_total_hops": mean,
+        "max_total_hops": max(row.measured for row in rows),
+        "bound_mean": _frac(bound_mean),
+        "bound_mean_plus_m": float(bound_mean) + m,
+        "naive_hops": naive,
+        "mean_under_bound_plus_m": True,
+        "mean_under_half_naive": True if w >= 1 else None,
+        "sharp_locality_rate": sharp_keys / later_keys if later_keys else None,
+    })
 
 
 def run_chord_decay(cfg: ExperimentConfig) -> ExperimentReport:
@@ -608,26 +522,19 @@ def run_chord_decay(cfg: ExperimentConfig) -> ExperimentReport:
     seed. The aggregated error rate must be non-increasing in C and zero
     at the top; non-error lookups must finish within m hops.
     """
-    started = time.perf_counter()
+    _require_ring(cfg, ENTRY_BOUND, min_m=4)
     m, n, per_seed = cfg.m, cfg.n, cfg.trials
-    _require(cfg.mode == ENTRY_BOUND, "chord-decay requires --mode entry-bound")
-    _require(2 <= n <= MAX_RING_NODES, f"need 2 <= n <= {MAX_RING_NODES}")
-    _require(4 <= m <= 16, f"need 4 <= m <= 16, got {m}")
-    _require(n <= 1 << m, f"need n <= 2**m, got n={n}, m={m}")
     _require(1 <= per_seed <= MAX_CHORD_TRIALS, f"trials {per_seed} out of range")
     _require(
-        1 <= cfg.entries_factor <= 64,
+        1 <= cfg.entries_factor,
         "entries factor must be in 1..64 (0 has no stored keys to look up)",
     )
 
-    factors = []
-    c = 1
-    while c <= cfg.entries_factor:
-        factors.append(c)
-        c *= 2
+    factors = [1 << i for i in range(cfg.entries_factor.bit_length())]
 
+    # rows carry the reference exp(-C*m/2) as their bound, but no ratio
     rows: list[Row] = []
-    trial = 0
+    add = _row_adder(cfg, rows, m=m, n=n, with_ratio=False)
     rates: dict[int, float] = {}
     for factor in factors:
         errors_at_factor = 0
@@ -652,14 +559,7 @@ def run_chord_decay(cfg: ExperimentConfig) -> ExperimentReport:
                     )
                 errors += not out.correct
             errors_at_factor += errors
-            rows.append(
-                Row(
-                    "chord-decay", m, None, None, n, f"C={factor}/seed={s}",
-                    trial, errors / per_seed, reference.numerator,
-                    reference.denominator, None, True, cfg.seed,
-                )
-            )
-            trial += 1
+            add(f"C={factor}/seed={s}", errors / per_seed, reference)
         rates[factor] = errors_at_factor / (DECAY_SEEDS * per_seed)
 
     for lo, hi in zip(factors, factors[1:]):
@@ -671,25 +571,17 @@ def run_chord_decay(cfg: ExperimentConfig) -> ExperimentReport:
         raise ExperimentFailure(
             f"errors remain at C={factors[-1]}: rate {rates[factors[-1]]}"
         )
-    report = ExperimentReport(
-        experiment="chord-decay",
-        config=asdict(cfg),
-        version=__version__,
-        rows=rows,
-        aggregates={
-            "factors": factors,
-            "seeds_per_factor": DECAY_SEEDS,
-            "lookups_per_seed": per_seed,
-            "error_rate_by_factor": {str(f): rates[f] for f in factors},
-            "reference_by_factor": {
-                str(f): math.exp(-f * m / 2) for f in factors
-            },
-            "monotone_non_increasing": True,
-            "zero_errors_at_max": True,
+    return _report(cfg, rows, {
+        "factors": factors,
+        "seeds_per_factor": DECAY_SEEDS,
+        "lookups_per_seed": per_seed,
+        "error_rate_by_factor": {str(f): rates[f] for f in factors},
+        "reference_by_factor": {
+            str(f): math.exp(-f * m / 2) for f in factors
         },
-    )
-    report.wall_clock_s = time.perf_counter() - started
-    return report
+        "monotone_non_increasing": True,
+        "zero_errors_at_max": True,
+    })
 
 
 RUNNERS = {
@@ -702,14 +594,20 @@ RUNNERS = {
     "chord-decay": run_chord_decay,
 }
 
+EXPERIMENT_NAMES = tuple(RUNNERS)
+
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
+    """Run the configured experiment and time it into `wall_clock_s`."""
     if cfg.experiment not in RUNNERS:
         raise SizingError(
             f"unknown experiment {cfg.experiment!r}; "
             f"choose one of {', '.join(EXPERIMENT_NAMES)}"
         )
-    return RUNNERS[cfg.experiment](cfg)
+    started = time.perf_counter()
+    report = RUNNERS[cfg.experiment](cfg)
+    report.wall_clock_s = time.perf_counter() - started
+    return report
 
 
 # -- serialization ------------------------------------------------------------
@@ -720,8 +618,6 @@ def _cell(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
     return str(value)
 
 
@@ -735,17 +631,7 @@ def emit(report: ExperimentReport, fmt: str, path) -> None:
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(CSV_COLUMNS.split(","))
                 for row in report.rows:
-                    writer.writerow(
-                        [
-                            _cell(v)
-                            for v in (
-                                row.experiment, row.m, row.w, row.k, row.n,
-                                row.param, row.trial, row.measured,
-                                row.bound_num, row.bound_den, row.ratio,
-                                row.ok, row.seed,
-                            )
-                        ]
-                    )
+                    writer.writerow([_cell(v) for v in vars(row).values()])
         else:
             # rows hold only scalars, so their __dict__ serialises as
             # asdict() would, without the deep copy

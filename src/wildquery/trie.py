@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
-from typing import Iterator
 
 from .errors import KeyRangeError, SizeLimitError
 
@@ -61,10 +60,6 @@ class Trie:
         keys = self.keys
         i = bisect_left(keys, key)
         return i < len(keys) and keys[i] == key
-
-    def members(self) -> Iterator[int]:
-        """Yield all stored keys in ascending order."""
-        return iter(self.keys)
 
 
 def complete_trie(k: int, m: int, max_keys: int = DEFAULT_MAX_KEYS) -> Trie:

@@ -12,7 +12,10 @@ surface only as a broken traced run.
 import dataclasses
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
+
+from test_golden import GOLDEN
 
 from wildquery import experiments
 from wildquery.dht import ChordNetwork, LookupOutcome, build_network
@@ -34,6 +37,48 @@ def test_traced_names_exist():
         assert callable(getattr(experiments, attr, None)), attr
     for attr, _span in tracing.CHORD_METHODS:
         assert callable(getattr(ChordNetwork, attr, None)), attr
+
+
+# calls each runner makes through the names the tracer rebinds, at the
+# last golden config of each experiment, which is its smallest
+TRACED_CALLS = {
+    "trie-exact": {
+        "backtracking_query": 10, "config_step_bound": 10, "mean_step_bound": 1,
+    },
+    "trie-random": {
+        "backtracking_query": 300, "config_step_bound": 300,
+        "mean_step_bound": 1, "random_pattern": 300, "random_trie": 3,
+    },
+    "identity-sweep": {"mean_step_bound": 55},
+    "position-law": {"sample_configuration": 20000},
+    "chord-single": {"_halving_ok": 4096, "build_network": 1},
+    "chord-wildcard": {
+        "build_network": 1, "config_step_bound": 60, "mean_step_bound": 1,
+        "sample_configuration": 60,
+    },
+    "chord-decay": {"build_network": 60},
+}
+
+
+def test_runners_call_traced_names_through_module_globals(monkeypatch):
+    # a runner that captured one of these names before the tracer rebinds
+    # it would bypass the wrapper, and the traced pins would drift
+    calls = Counter()
+    for attr, _span in _load_tracing().EXPERIMENT_NAMES:
+
+        def counted(*args, _fn=getattr(experiments, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, attr, counted)
+    smallest = {name: params for name, params, *_ in GOLDEN}
+    assert set(smallest) == set(experiments.RUNNERS) == set(TRACED_CALLS)
+    for name, params in smallest.items():
+        calls.clear()
+        experiments.run_experiment(
+            experiments.ExperimentConfig(experiment=name, seed=7, **params)
+        )
+        assert dict(calls) == TRACED_CALLS[name], name
 
 
 def test_counted_arguments_sit_where_the_tracer_reads_them():

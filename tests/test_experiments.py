@@ -1,14 +1,22 @@
+import contextlib
+import io
 import json
+import signal
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_golden import GOLDEN
 
-from wildquery.cli import main
+from wildquery import experiments
+from wildquery.cli import _INT_DESTS, main
 from wildquery.experiments import (
     CSV_COLUMNS,
+    MAX_ENTRIES_FACTOR,
+    MAX_TRIE_KEYS,
     ExperimentConfig,
     ExperimentFailure,
     ExperimentReport,
@@ -30,6 +38,41 @@ def cfg(experiment, **kw):
     return ExperimentConfig(experiment=experiment, **kw)
 
 
+_RUN_BUDGET_S = 20.0  # a golden config runs in well under a second
+_REFUSAL_BUDGET_S = 1.0  # a guard refuses before any run or ring fill
+
+
+class _Overrun(Exception):
+    """A CLI run outlived its time budget."""
+
+
+def _run_main(args, budget_s):
+    """Run the CLI in-process; return its exit code and stderr.
+
+    argparse's SystemExit gives the exit code. A SIGALRM after `budget_s`
+    ends a run that would otherwise hang the test.
+    """
+
+    def overrun(signum, frame):
+        raise _Overrun(f"{args} still running after {budget_s} s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, budget_s)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(
+            io.StringIO()
+        ):
+            try:
+                code = main(args)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, err.getvalue()
+
+
 class TestRunners:
     def test_trie_exact_rows_and_mean(self):
         report = run_trie_exact(cfg("trie-exact", m=2, w=1))
@@ -46,6 +89,17 @@ class TestRunners:
     def test_trie_exact_sizing(self):
         with pytest.raises(SizingError):
             run_trie_exact(cfg("trie-exact", m=40, w=5))
+
+    @pytest.mark.parametrize("name", ["trie-exact", "trie-random"])
+    @pytest.mark.parametrize("m, k", [(10_000_000, 3), (8, 10**20)])
+    def test_trie_guards_refuse_huge_sizes_at_once(self, name, m, k):
+        # k**m is never formed: at m = 10**7 that alone takes seconds, and
+        # its decimal digits exceed what str() may convert
+        started = time.perf_counter()
+        with pytest.raises(SizingError, match=str(MAX_TRIE_KEYS)) as err:
+            run_experiment(cfg(name, m=m, w=0, k=k, population=0, trials=1))
+        assert time.perf_counter() - started < 0.5
+        assert len(str(err.value)) < 80  # the hint holds no huge number
 
     def test_trie_random_bounds_hold(self):
         report = run_trie_random(
@@ -128,6 +182,31 @@ class TestRunners:
         assert list(rates) == ["1", "2", "4"]
         assert rates["1"] >= rates["2"] >= rates["4"] == 0.0
         assert report.aggregates["monotone_non_increasing"]
+
+    @pytest.mark.parametrize(
+        "name, mode",
+        [("chord-single", "full"), ("chord-wildcard", "full"),
+         ("chord-decay", "entry-bound")],
+    )
+    def test_ring_runners_cap_entries_factor_before_building(
+        self, name, mode, monkeypatch
+    ):
+        def must_not_build(*args):
+            raise AssertionError("a ring was built despite the entries cap")
+
+        monkeypatch.setattr(experiments, "build_network", must_not_build)
+        with pytest.raises(SizingError, match=str(MAX_ENTRIES_FACTOR)):
+            run_experiment(
+                cfg(name, m=8, w=2, n=16, trials=10, mode=mode,
+                    entries_factor=MAX_ENTRIES_FACTOR + 1)
+            )
+
+    def test_chord_single_runs_on_an_empty_ring(self):
+        # unlike the other ring runners, chord-single needs no stored keys
+        report = run_chord_single(
+            cfg("chord-single", m=6, n=8, trials=50, entries_factor=0)
+        )
+        assert report.aggregates["all_correct"]
 
     def test_chord_decay_rejects_factor_zero(self):
         with pytest.raises(SizingError):
@@ -233,7 +312,9 @@ class TestCli:
         assert code == 1
         assert "ASSERTION FAILED" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where", ["missing-dir", "file-as-dir", "is-dir"])
+    @pytest.mark.parametrize(
+        "where", ["missing-dir", "file-as-dir", "is-dir", "empty", "blank"]
+    )
     def test_unwritable_out_rejected_before_run(
         self, where, tmp_path, monkeypatch, capsys
     ):
@@ -243,11 +324,14 @@ class TestCli:
             raise AssertionError("the run started despite an unwritable --out")
 
         monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        monkeypatch.chdir(tmp_path)  # a relative path lands here, if anywhere
         (tmp_path / "file").write_text("")
         out = {
             "missing-dir": tmp_path / "missing" / "r.csv",
             "file-as-dir": tmp_path / "file" / "r.csv",
             "is-dir": tmp_path,
+            "empty": "",
+            "blank": "   ",
         }[where]
         code = main(
             ["position-law", "--m", "5", "--w", "2", "--trials", "100",
@@ -314,3 +398,31 @@ class TestCli:
                 args += ["--out", str(out)]
             assert main(args) == 2, (dest, value)
             assert not out.exists()
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        case=st.sampled_from([(name, params) for name, params, *_ in GOLDEN]),
+        flag=st.sampled_from(_INT_DESTS),
+        value=st.integers(max_value=-1) | st.integers(min_value=10**7 + 1),
+    )
+    # both stalled at the guards: k**m took seconds before any refusal, and
+    # chord-single filled a ring with 10**7 * m * n entries
+    @example(case=("trie-exact", dict(m=5, w=2, k=3)), flag="m", value=10**7 + 1)
+    @example(
+        case=("chord-single", dict(m=8, n=16, trials=0, mode="full")),
+        flag="entries_factor", value=10**7 + 1,
+    )
+    def test_out_of_range_int_flag_is_refused_or_run(self, case, flag, value):
+        name, params = case
+        flags = {**params, flag: value}
+        with tempfile.TemporaryDirectory() as tmp:
+            args = [name, "--seed", "7", "--out", str(Path(tmp) / "r.csv")]
+            args += [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
+            started = time.perf_counter()
+            code, err = _run_main(args, budget_s=_RUN_BUDGET_S)
+            elapsed = time.perf_counter() - started
+        assert code in (0, 2), (args, code, err)
+        assert "Traceback" not in err
+        if code == 2:
+            assert elapsed < _REFUSAL_BUDGET_S, (args, elapsed, err)
+

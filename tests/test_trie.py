@@ -15,7 +15,7 @@ def _node_count(trie):
     """
     k, m = trie.k, trie.m
     return sum(
-        len({key // k ** (m - depth) for key in trie.members()})
+        len({key // k ** (m - depth) for key in trie.keys})
         for depth in range(m + 1)
     )
 
@@ -38,7 +38,7 @@ def test_insert_idempotent():
     a.insert(5).insert(5)
     b = Trie(2, 3)
     b.insert(5)
-    assert list(a.members()) == list(b.members()) == [5]
+    assert list(a.keys) == list(b.keys) == [5]
 
 
 def test_insert_all_keys_node_count():
@@ -68,10 +68,10 @@ def test_miss_stops_at_deepest_shared_prefix():
 
 
 def test_complete_trie_members_and_counts():
-    assert list(complete_trie(2, 1).members()) == [0, 1]
-    assert len(list(complete_trie(3, 2).members())) == 9
+    assert list(complete_trie(2, 1).keys) == [0, 1]
+    assert len(complete_trie(3, 2).keys) == 9
     t = complete_trie(2, 4)
-    assert len(list(t.members())) == 16
+    assert len(t.keys) == 16
     assert _node_count(t) == 31
 
 
@@ -93,19 +93,19 @@ def test_key_range_errors():
         trie.contains(-1)
     with pytest.raises(TypeError):
         trie.insert(1.5)
-    assert list(trie.members()) == []
+    assert list(trie.keys) == []
 
 
 def test_random_trie_population_and_determinism():
     empty = random_trie(2, 8, 0, seed=1)
-    assert list(empty.members()) == []
+    assert list(empty.keys) == []
     full = random_trie(2, 8, 256, seed=1)
-    assert list(full.members()) == list(range(256))
+    assert list(full.keys) == list(range(256))
     a = random_trie(2, 8, 57, seed=99)
     b = random_trie(2, 8, 57, seed=99)
-    assert list(a.members()) == list(b.members())
+    assert list(a.keys) == list(b.keys)
     c = random_trie(2, 8, 57, seed=100)
-    assert list(a.members()) != list(c.members())
+    assert list(a.keys) != list(c.keys)
 
 
 def test_random_trie_population_out_of_range():
@@ -126,7 +126,7 @@ def test_membership_matches_reference_set(k, m, data):
     trie = Trie(k, m)
     for key in keys:
         trie.insert(key)
-    assert list(trie.members()) == sorted(keys)
+    assert list(trie.keys) == sorted(keys)
     for probe in data.draw(
         st.lists(st.integers(0, k**m - 1), max_size=10)
     ):
