@@ -106,7 +106,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         try:
             with open(args.config) as handle:
                 loaded = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
+            # ValueError: bad JSON, bad UTF-8, or an integer past the
+            # interpreter's 4,300-digit conversion limit
             raise SizeLimitError(f"cannot read config {args.config}: {exc}")
         if not isinstance(loaded, dict):
             raise SizeLimitError(f"config {args.config} must hold a JSON object")

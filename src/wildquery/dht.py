@@ -28,6 +28,7 @@ safe. Redistributing entries requires exclusive access.
 from __future__ import annotations
 
 import random
+from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -144,21 +145,39 @@ class ChordNetwork:
         uniform over that node's arc (predecessor key, node key], so the
         entry is stored exactly at the successor of its data key.
         Entry-bound finger tables are rebuilt afterwards.
+
+        The draws are a contract: per entry, `random.Random(seed)` makes
+        one `randrange(n)` for the node, then one `randrange(arc)` for the
+        key. The loop inlines the rule CPython's `randrange(x)` follows,
+        redrawing `getrandbits(x.bit_length())` until the result is below
+        x, so it consumes the same bits in the same order. The oracle test
+        in tests/test_dht.py replays the `randrange` loop and pins it.
         """
         if count < 0:
             raise ValueError("entry count must be >= 0")
-        rng = random.Random(seed)
-        n, size = self.n, self.size
+        getrandbits = random.Random(seed).getrandbits
+        n, mask = self.n, self.size - 1
         keys = self.node_keys
+        arcs = [(keys[a] - keys[a - 1]) & mask for a in range(n)]
+        arc_bits = [arc.bit_length() for arc in arcs]
+        bases = [keys[a - 1] + 1 for a in range(n)]
+        n_bits = n.bit_length()
         loads = [0] * n
-        stored = Counter()
+        data = array("q")  # 8 bytes a key; a list adds an int object per key
+        append = data.append
         for _ in range(count):
-            addr = rng.randrange(n)
-            arc = (keys[addr] - keys[addr - 1]) % size
-            stored[(keys[addr - 1] + 1 + rng.randrange(arc)) % size] += 1
-            loads[addr] += 1
+            a = getrandbits(n_bits)
+            while a >= n:
+                a = getrandbits(n_bits)
+            arc = arcs[a]
+            bits = arc_bits[a]
+            r = getrandbits(bits)
+            while r >= arc:
+                r = getrandbits(bits)
+            append((bases[a] + r) & mask)
+            loads[a] += 1
         self.loads = loads
-        self._stored = stored
+        self._stored = Counter(data)
         if self.finger_mode == ENTRY_BOUND:
             for addr in range(n):
                 self._build_table(addr)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -6,11 +7,37 @@ from wildquery.analysis import config_step_bound
 from wildquery.dht import (
     ENTRY_BOUND,
     FULL,
+    MAX_RING_BITS,
     ChordNetwork,
     build_network,
 )
 from wildquery.errors import PatternShapeError, SizeLimitError
 from wildquery.wildcard import QueryPattern, sample_configuration
+
+
+def randrange_fill(net, count, seed):
+    """The ring fill as first written, kept as the oracle for its draws:
+    per entry one randrange(n) for the node, then one randrange(arc)."""
+    rng = random.Random(seed)
+    n, size = net.n, net.size
+    keys = net.node_keys
+    loads = [0] * n
+    stored = Counter()
+    for _ in range(count):
+        addr = rng.randrange(n)
+        arc = (keys[addr] - keys[addr - 1]) % size
+        stored[(keys[addr - 1] + 1 + rng.randrange(arc)) % size] += 1
+        loads[addr] += 1
+    return loads, stored
+
+
+def below_by_redraw(getrandbits, x):
+    """The rule the ring fill inlines for randrange(x)."""
+    bits = x.bit_length()
+    r = getrandbits(bits)
+    while r >= x:
+        r = getrandbits(bits)
+    return r
 
 
 class TestConstruction:
@@ -109,6 +136,7 @@ class TestEntries:
         # in its arc (predecessor key, node key]
         rng = random.Random(7)
         want = [0] * net.n
+        want_stored = Counter()
         for _ in range(400):
             addr = rng.randrange(net.n)
             lo, hi = net.node_keys[addr - 1], net.node_keys[addr]
@@ -116,8 +144,29 @@ class TestEntries:
             assert net.successor_of(d) == addr
             assert net.ground_truth(d)
             want[addr] += 1
+            want_stored[d] += 1
         assert net.loads == want
+        assert net._stored == want_stored
         assert sum(net.loads) == 400
+
+    @pytest.mark.parametrize("mode", [FULL, ENTRY_BOUND])
+    @pytest.mark.parametrize(
+        "n, m",
+        # n=2 and n=64 are powers of two, where randrange(n) rejects about
+        # half its draws; on the m=1 ring every arc is 1, so randrange(1)
+        [(2, 1), (2, 8), (3, 6), (64, 12), (1000, 16)],
+    )
+    def test_fill_makes_the_randrange_draws(self, n, m, mode):
+        net = build_network(n, m, seed=n + m, finger_mode=mode)
+        # each fill replaces the last on the same ring
+        for count, seed in ((3 * n, 0), (0, 1), (40 * n, "5|entries|2"), (n, 9)):
+            net.distribute_entries(count, seed)
+            loads, stored = randrange_fill(net, count, seed)
+            assert net.loads == loads
+            assert net._stored == stored
+            assert net.stored_keys() == sorted(stored)
+            if mode == ENTRY_BOUND and n <= 64:  # the scan oracle is O(n^2 m)
+                TestConstruction.assert_fingers_match_ring_scan(net)
 
     def test_per_node_mean_is_exact_and_spread_is_binomial(self):
         net = build_network(64, 12, seed=8)
@@ -145,6 +194,23 @@ class TestEntries:
         net.store_entry(77)
         assert net.ground_truth(77)
         assert 77 in net.stored_keys()
+
+
+def test_cpython_randrange_still_redraws_getrandbits_below_bound():
+    # The ring fill assumes Random.randrange(x) is CPython's
+    # _randbelow_with_getrandbits: redraw getrandbits(x.bit_length())
+    # until the result is below x. If this fails, a new Python changed
+    # that rule, and the fill and every ring digest must follow it.
+    for seed in (0, 7, "3|entries|1"):
+        ref, rule = random.Random(seed), random.Random(seed)
+        for x in range(1, 4097):
+            assert ref.randrange(x) == below_by_redraw(rule.getrandbits, x), x
+        for x in (4099, 65535, 65536, 65537, 10**6 + 3, (1 << 23) + 1,
+                  (1 << 24) - 1, 1 << MAX_RING_BITS):
+            for _ in range(20):
+                assert ref.randrange(x) == below_by_redraw(rule.getrandbits, x)
+        # both streams consumed the same bits
+        assert ref.getstate() == rule.getstate()
 
 
 class TestLookup:

@@ -359,6 +359,16 @@ class TestCli:
         config.write_text(json.dumps({"experiment": "chord-decay", "seed": 3}))
         assert main(["trie-exact", "--config", str(config)]) == 2
 
+    def test_config_integer_past_the_digit_limit_names_the_file(
+        self, tmp_path, capsys
+    ):
+        config = tmp_path / "big.json"
+        config.write_text('{"population": ' + "9" * 5000 + "}")
+        assert main(["trie-random", "--seed", "1", "--config", str(config)]) == 2
+        assert f"usage error: cannot read config {config}: " in (
+            capsys.readouterr().err
+        )
+
     def test_cli_rerun_byte_identical(self, tmp_path):
         args = [
             "position-law", "--m", "5", "--w", "2", "--trials", "5000",
