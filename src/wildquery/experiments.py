@@ -613,14 +613,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # -- serialization ------------------------------------------------------------
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
 def emit(report: ExperimentReport, fmt: str, path) -> None:
     """Write the report; bytes depend only on config and seed."""
     if fmt not in ("csv", "json"):
@@ -630,8 +622,12 @@ def emit(report: ExperimentReport, fmt: str, path) -> None:
             with open(path, "w", newline="") as handle:
                 writer = csv.writer(handle, lineterminator="\n")
                 writer.writerow(CSV_COLUMNS.split(","))
+                # csv writes None as "" and a float as its repr; only ok is
+                # spelled out
                 for row in report.rows:
-                    writer.writerow([_cell(v) for v in vars(row).values()])
+                    writer.writerow(
+                        {**vars(row), "ok": "true" if row.ok else "false"}.values()
+                    )
         else:
             # rows hold only scalars, so their __dict__ serialises as
             # asdict() would, without the deep copy

@@ -9,7 +9,10 @@ significant wildcard.
 The search walks the trie depth-first, always trying wildcard letter 0
 first, and on every decided key backtracks only as far as the deepest
 wildcard that still has letters left. Each edge crossed in either
-direction costs one step.
+direction costs one step. The implementation does one bisect per decided
+key, not per edge: the keys are stored in sorted order, so the depth at
+which the walk toward an expansion leaves the trie is its longest common
+prefix with one of the two stored keys it sorts between.
 
 Queries never mutate the trie, so any number may run in parallel against
 a frozen trie; each counts its own steps.
@@ -20,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import PatternShapeError, SizeLimitError
@@ -56,8 +59,10 @@ class QueryPattern:
         if not self.symbols:
             raise PatternShapeError("empty pattern")
         for s in self.symbols:
-            if s is not None and s < 0:
-                raise PatternShapeError(f"negative letter in pattern: {s}")
+            if s is not None and (
+                isinstance(s, bool) or not isinstance(s, int) or s < 0
+            ):
+                raise PatternShapeError(f"pattern letter must be an int >= 0: {s!r}")
 
     @classmethod
     def from_string(cls, text: str) -> "QueryPattern":
@@ -84,21 +89,23 @@ class QueryPattern:
         `fixed_letters` fills the remaining positions: either one letter
         for all of them or a sequence indexed left to right.
         """
-        validate_configuration(m, tuple(positions))
-        wild = set(positions)
-        symbols: list[int | None] = []
-        fixed_iter = None
-        if not isinstance(fixed_letters, int):
-            fixed_iter = iter(fixed_letters)
-        for i in range(m):
-            pos = m - i
-            if pos in wild:
-                symbols.append(None)
-            elif fixed_iter is None:
-                symbols.append(fixed_letters)
-            else:
-                symbols.append(next(fixed_iter))
-        return cls(tuple(symbols))
+        positions = tuple(positions)
+        validate_configuration(m, positions)
+        n_fixed = m - len(positions)
+        if isinstance(fixed_letters, int):
+            letters: list[int | None] = [fixed_letters] * n_fixed
+        else:
+            letters = list(fixed_letters)
+        if len(letters) != n_fixed:
+            raise PatternShapeError(
+                f"need {n_fixed} fixed letters for m={m} with "
+                f"{len(positions)} wildcards, got {len(letters)}"
+            )
+        # a wildcard at position z sits at index m - z; inserting them at
+        # ascending indices leaves every earlier index in place
+        for z in reversed(positions):
+            letters.insert(m - z, None)
+        return cls(tuple(letters))
 
     def to_string(self) -> str:
         parts = []
@@ -188,80 +195,77 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
     its next letter and descends again. A missing child decides every
     expansion below the dead point at once. The search ends after the last
     decision with no final climb.
+
+    The steps are counted per decision, not per edge. The keys are sorted
+    in base-k order, which is the lexicographic order of their letter
+    strings, so the stored key sharing the longest prefix with the target
+    t (the current expansion, wildcards below the resume depth r at 0) is
+    keys[i] or keys[i-1] for i = bisect_left(keys, t). The walk toward t
+    therefore stops at the depth L of that prefix, after L - r steps down,
+    and the climb to the next live wildcard at depth r' costs L - r'.
     """
     _check_pattern(trie, pattern)
     k, m = trie.k, trie.m
-    sym = pattern.symbols
     keys = trie.keys
     n_keys = len(keys)
-    steps = 0
-
-    # wildcard depths (node depth = m - position) currently assigned,
-    # shallowest first, with their letter values
-    open_depths: list[int] = []
-    letter_at: dict[int, int] = {}
-    # wilds_below[d] = wildcards at depths >= d, for dead-end group sizes
-    wilds_below = [0] * (m + 1)
-    for d in range(m - 1, -1, -1):
-        wilds_below[d] = wilds_below[d + 1] + (1 if sym[d] is None else 0)
-    # width[d] = keys under one node at depth d + 1, so the child of the
-    # depth-d node with prefix p on letter a holds the keys in
-    # [(p*k + a) * width[d], (p*k + a + 1) * width[d])
-    width = [k ** (m - 1 - d) for d in range(m)]
-
-    # prefix[d] = letters of the node at depth d on the current path, read
-    # as a base-k number; prefix[m] is the key itself
-    prefix = [0] * (m + 1)
-    depth = 0
+    # power[j] = keys under one node at depth m - j; a key x agrees with t
+    # on the first m - j letters exactly when x // power[j] == t // power[j]
+    power = [k**j for j in range(m + 1)]
+    # the wildcards by node depth (depth d picks its child by letter
+    # symbols[d]), shallowest first, and the place value of their letter
+    depths = [d for d, s in enumerate(pattern.symbols) if s is None]
+    place = [power[m - 1 - d] for d in depths]
+    t = 0  # the expansion being decided; all wildcards start at 0
+    for s in pattern.symbols:
+        t = t * k + (s or 0)
+    w = len(depths)
+    letter = [0] * w
+    per_key = [0] * k**w
     matches: set[int] = set()
-    per_key: list[int] = []
-    charged = 0
+    steps = charged = resume = decided = 0
 
     while True:
-        # descend as far as the pattern and trie allow
-        dead = False
-        while depth < m:
-            s = sym[depth]
-            if s is None:
-                if open_depths and open_depths[-1] == depth:
-                    a = letter_at[depth]
-                else:
-                    open_depths.append(depth)
-                    letter_at[depth] = 0
-                    a = 0
-            else:
-                a = s
-            child = prefix[depth] * k + a
-            lo = child * width[depth]
-            i = bisect_left(keys, lo)
-            if i == n_keys or keys[i] >= lo + width[depth]:
-                dead = True
-                break
-            depth += 1
-            prefix[depth] = child
-            steps += 1
-
-        if dead:
-            group = k ** wilds_below[depth + 1]
+        i = bisect_left(keys, t)
+        if i < n_keys and keys[i] == t:
+            depth = m
+            matches.add(t)
         else:
-            matches.add(prefix[m])
-            group = 1
-
-        per_key.append(steps - charged)
+            # j = the trailing letters of t that no stored key matches; the
+            # key agreeing longest with t is keys[i] or keys[i - 1]
+            j = m
+            if i < n_keys:
+                x = keys[i]
+                j = bisect_right(power, x - t)
+                while x // power[j] != t // power[j]:
+                    j += 1
+            if i:
+                x = keys[i - 1]
+                below = bisect_right(power, t - x)
+                while below < j and x // power[below] != t // power[below]:
+                    below += 1
+                if below < j:
+                    j = below
+            depth = m - j
+        steps += depth - resume
+        per_key[decided] = steps - charged
         charged = steps
-        if group > 1:
-            per_key.extend([0] * (group - 1))
+        # a walk ending at this depth assigned the q shallowest wildcards;
+        # the k**(w - q) keys that share them are decided together
+        q = bisect_right(depths, depth)
+        decided += power[w - q]
 
-        # drop exhausted wildcards, then climb to the deepest live one
-        while open_depths and letter_at[open_depths[-1]] == k - 1:
-            del letter_at[open_depths[-1]]
-            open_depths.pop()
-        if not open_depths:
+        # reset exhausted wildcards, then climb to the deepest live one
+        q -= 1
+        while q >= 0 and letter[q] == k - 1:
+            letter[q] = 0
+            t -= (k - 1) * place[q]
+            q -= 1
+        if q < 0:
             break
-        target = open_depths[-1]
-        steps += depth - target
-        depth = target
-        letter_at[target] += 1
+        letter[q] += 1
+        t += place[q]
+        resume = depths[q]
+        steps += depth - resume
 
     return QueryResult(
         matches=frozenset(matches),

@@ -12,6 +12,7 @@ surface only as a broken traced run.
 import dataclasses
 import importlib.util
 import inspect
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -19,7 +20,8 @@ from test_golden import GOLDEN
 
 from wildquery import experiments
 from wildquery.dht import ChordNetwork, LookupOutcome, build_network
-from wildquery.wildcard import QueryPattern, QueryResult
+from wildquery.trie import random_trie
+from wildquery.wildcard import QueryPattern, QueryResult, random_pattern
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -96,6 +98,23 @@ def test_result_fields_the_tracer_reads():
     assert {"hops", "error_case", "correct"} <= set(LookupOutcome._fields)
     fields = {f.name for f in dataclasses.fields(QueryResult)}
     assert {"steps", "matches", "per_key_steps"} <= fields
+
+
+def test_query_takes_trie_and_pattern_and_charges_every_expansion():
+    # the trie-search shape: trie-random at k=2, m=12, w=4 over 1,024 keys;
+    # the runners pass (trie, pattern) positionally, and on_query counts
+    # len(per_key_steps) as the expansions and reads steps beside it
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    params = inspect.signature(experiments.backtracking_query).parameters
+    assert [(p.name, p.kind) for p in params.values()] == [
+        ("trie", positional), ("pattern", positional),
+    ]
+    trie = random_trie(2, 12, 1024, 3)
+    rng = random.Random(3)
+    for _ in range(50):
+        res = experiments.backtracking_query(trie, random_pattern(12, 4, 2, rng))
+        assert len(res.per_key_steps) == 2**4
+        assert sum(res.per_key_steps) == res.steps
 
 
 def test_wildcard_query_calls_lookup_once_per_expansion(monkeypatch):

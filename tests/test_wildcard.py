@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +12,127 @@ from wildquery.errors import PatternShapeError, SizeLimitError
 from wildquery.trie import Trie, complete_trie, random_trie
 from wildquery.wildcard import (
     QueryPattern,
+    QueryResult,
+    _check_pattern,
     backtracking_query,
     brute_force_query,
     enumerate_configurations,
     random_pattern,
     sample_configuration,
 )
+
+
+def edge_walk_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
+    """Reference search: the per-edge walk that backtracking_query replaced.
+
+    It tests each child on the path with its own bisect and counts steps
+    edge by edge, so it shares no shortcut with the per-decision search.
+    """
+    _check_pattern(trie, pattern)
+    k, m = trie.k, trie.m
+    sym = pattern.symbols
+    keys = trie.keys
+    n_keys = len(keys)
+    steps = 0
+
+    # wildcard depths (node depth = m - position) currently assigned,
+    # shallowest first, with their letter values
+    open_depths: list[int] = []
+    letter_at: dict[int, int] = {}
+    # wilds_below[d] = wildcards at depths >= d, for dead-end group sizes
+    wilds_below = [0] * (m + 1)
+    for d in range(m - 1, -1, -1):
+        wilds_below[d] = wilds_below[d + 1] + (1 if sym[d] is None else 0)
+    # width[d] = keys under one node at depth d + 1, so the child of the
+    # depth-d node with prefix p on letter a holds the keys in
+    # [(p*k + a) * width[d], (p*k + a + 1) * width[d])
+    width = [k ** (m - 1 - d) for d in range(m)]
+
+    # prefix[d] = letters of the node at depth d on the current path, read
+    # as a base-k number; prefix[m] is the key itself
+    prefix = [0] * (m + 1)
+    depth = 0
+    matches: set[int] = set()
+    per_key: list[int] = []
+    charged = 0
+
+    while True:
+        # descend as far as the pattern and trie allow
+        dead = False
+        while depth < m:
+            s = sym[depth]
+            if s is None:
+                if open_depths and open_depths[-1] == depth:
+                    a = letter_at[depth]
+                else:
+                    open_depths.append(depth)
+                    letter_at[depth] = 0
+                    a = 0
+            else:
+                a = s
+            child = prefix[depth] * k + a
+            lo = child * width[depth]
+            i = bisect_left(keys, lo)
+            if i == n_keys or keys[i] >= lo + width[depth]:
+                dead = True
+                break
+            depth += 1
+            prefix[depth] = child
+            steps += 1
+
+        if dead:
+            group = k ** wilds_below[depth + 1]
+        else:
+            matches.add(prefix[m])
+            group = 1
+
+        per_key.append(steps - charged)
+        charged = steps
+        if group > 1:
+            per_key.extend([0] * (group - 1))
+
+        # drop exhausted wildcards, then climb to the deepest live one
+        while open_depths and letter_at[open_depths[-1]] == k - 1:
+            del letter_at[open_depths[-1]]
+            open_depths.pop()
+        if not open_depths:
+            break
+        target = open_depths[-1]
+        steps += depth - target
+        depth = target
+        letter_at[target] += 1
+
+    return QueryResult(
+        matches=frozenset(matches),
+        steps=steps,
+        per_key_steps=tuple(per_key),
+    )
+
+
+def steps_by_levels(trie: Trie, pattern: QueryPattern) -> int:
+    """Steps of the backtracking search as 2*V - D, counted level by level.
+
+    V is the number of trie nodes below the root that exist and agree with
+    the pattern; D is the depth the last expansion (every wildcard at k-1)
+    reaches. Each step down enters a new node of V, each climb re-crosses
+    one of those edges once, and the last path is never climbed back.
+    """
+    k, m, sym = trie.k, trie.m, pattern.symbols
+    words = [
+        tuple(key // k ** (m - 1 - i) % k for i in range(m)) for key in trie.keys
+    ]
+    last = tuple(k - 1 if s is None else s for s in sym)
+    nodes = reached = 0
+    for d in range(1, m + 1):
+        level = {
+            word[:d]
+            for word in words
+            if all(s is None or s == a for s, a in zip(sym[:d], word))
+        }
+        nodes += len(level)
+        if last[:d] in level:
+            reached = d
+    return 2 * nodes - reached
 
 
 class TestPattern:
@@ -64,6 +180,21 @@ class TestPattern:
     def test_bad_characters_rejected(self):
         with pytest.raises(PatternShapeError):
             QueryPattern.from_string("1*x")
+
+    @pytest.mark.parametrize(
+        "letters", [[1], [1, 0, 1, 1, 1], []], ids=["short", "long", "empty"]
+    )
+    def test_fixed_letter_count_must_fit(self, letters):
+        # m=4 with one wildcard takes exactly three fixed letters
+        with pytest.raises(PatternShapeError):
+            QueryPattern.from_configuration(4, (1,), letters)
+
+    @pytest.mark.parametrize(
+        "symbols", [(1.5, None), (1, None, True), (-1, None), ("1", None)]
+    )
+    def test_letters_must_be_non_negative_ints(self, symbols):
+        with pytest.raises(PatternShapeError):
+            QueryPattern(symbols)
 
 
 class TestConfigurations:
@@ -204,3 +335,59 @@ class TestOracleAgreement:
         pattern = QueryPattern.from_string("*" * 10)
         with pytest.raises(SizeLimitError):
             brute_force_query(trie, pattern, max_expansions=512)
+
+
+def _draw_trie(data, k: int, m: int) -> Trie:
+    kinds = ["empty", "sparse", "random", "inserted", "complete"]
+    kind = data.draw(st.sampled_from(kinds))
+    space = k**m
+    if kind == "complete":
+        return complete_trie(k, m)  # keys are a range
+    if kind == "inserted":
+        trie = Trie(k, m)
+        for key in data.draw(st.lists(st.integers(0, space - 1), max_size=12)):
+            trie.insert(key)
+        return trie
+    if kind == "empty":
+        population = 0
+    elif kind == "sparse":
+        population = data.draw(st.integers(1, min(space, 6)))
+    else:
+        population = data.draw(st.integers(0, space))
+    return random_trie(k, m, population, seed=data.draw(st.integers(0, 2**20)))
+
+
+class TestPerDecisionSearch:
+    """backtracking_query against the per-edge walk and the 2V - D count."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_equals_edge_walk_and_level_count(self, k, data):
+        m = data.draw(st.integers(1, {2: 8, 3: 5, 4: 4, 5: 4}[k]))
+        trie = _draw_trie(data, k, m)
+        w = data.draw(st.integers(0, m))
+        rng = random.Random(data.draw(st.integers(0, 2**20)))
+        pattern = random_pattern(m, w, k, rng)
+
+        result = backtracking_query(trie, pattern)
+        want = edge_walk_query(trie, pattern)
+        assert result.matches == want.matches
+        assert result.steps == want.steps
+        assert result.per_key_steps == want.per_key_steps
+        assert result.steps == steps_by_levels(trie, pattern)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_every_binary_trie_against_every_pattern(self, m):
+        patterns = [
+            QueryPattern(symbols)
+            for symbols in itertools.product((0, 1, None), repeat=m)
+        ]
+        for subset in range(1 << (1 << m)):
+            trie = Trie(2, m)
+            trie.keys = [key for key in range(1 << m) if subset >> key & 1]
+            for pattern in patterns:
+                result = backtracking_query(trie, pattern)
+                assert result == edge_walk_query(trie, pattern)
+                assert result.steps == steps_by_levels(trie, pattern)
+                assert result.matches == brute_force_query(trie, pattern)
