@@ -21,6 +21,8 @@ import statistics
 import time
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
+from itertools import chain
+from operator import attrgetter
 
 from . import __version__
 from .analysis import (
@@ -97,7 +99,8 @@ class Row:
     seed: int | str
 
 
-CSV_COLUMNS = ",".join(f.name for f in fields(Row))
+_ROW_FIELDS = tuple(f.name for f in fields(Row))
+CSV_COLUMNS = ",".join(_ROW_FIELDS)
 
 
 @dataclass
@@ -613,6 +616,65 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # -- serialization ------------------------------------------------------------
 
 
+_row_cells = attrgetter(*_ROW_FIELDS)
+_OK = _ROW_FIELDS.index("ok")
+
+# json.dump(indent=2) spells each element of the report's "rows" list
+# like this; Row fields hold only scalars, so each %s takes one encoded value
+_JSON_ROW = (
+    "    {\n"
+    + ",\n".join(f"      {json.dumps(name)}: %s" for name in _ROW_FIELDS)
+    + "\n    }"
+)
+# rows per encode call; small chunks keep the peak memory of a long report
+# where the streaming json.dump left it
+_JSON_CHUNK = 64
+# without indent, encode() runs the C encoder; NUL can separate the values
+# because the encoder escapes every control character inside a string
+_encode_cells = json.JSONEncoder(separators=("\x00", ": ")).encode
+
+
+def _write_csv(report: ExperimentReport, handle) -> None:
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(_ROW_FIELDS)
+    # csv writes None as "" and a float as its repr; only ok is spelled out
+    writer.writerows(
+        (*cells[:_OK], "true" if cells[_OK] else "false", *cells[_OK + 1:])
+        for cells in map(_row_cells, report.rows)
+    )
+
+
+def _write_json(report: ExperimentReport, handle) -> None:
+    """Write the bytes json.dump(payload, handle, indent=2) and a newline
+    would, where payload holds the report's fields and `vars(row)` per row.
+    Only the header and aggregates go through the pure-Python encoder
+    that indent selects; the rows are C-encoded and spliced into
+    _JSON_ROW."""
+    write = handle.write
+    header = {
+        "experiment": report.experiment,
+        "version": report.version,
+        "config": report.config,
+    }
+    write(json.dumps(header, indent=2).removesuffix("\n}"))
+    rows = report.rows
+    if not rows:
+        write(',\n  "rows": []')
+    else:
+        write(',\n  "rows": [\n')
+        for start in range(0, len(rows), _JSON_CHUNK):
+            chunk = rows[start:start + _JSON_CHUNK]
+            cells = _encode_cells(
+                list(chain.from_iterable(map(_row_cells, chunk)))
+            )[1:-1].split("\x00")
+            if start:
+                write(",\n")
+            write(",\n".join([_JSON_ROW] * len(chunk)) % tuple(cells))
+        write("\n  ]")
+    aggregates = json.dumps(report.aggregates, indent=2).replace("\n", "\n  ")
+    write(f',\n  "aggregates": {aggregates}\n}}\n')
+
+
 def emit(report: ExperimentReport, fmt: str, path) -> None:
     """Write the report; bytes depend only on config and seed."""
     if fmt not in ("csv", "json"):
@@ -620,26 +682,9 @@ def emit(report: ExperimentReport, fmt: str, path) -> None:
     try:
         if fmt == "csv":
             with open(path, "w", newline="") as handle:
-                writer = csv.writer(handle, lineterminator="\n")
-                writer.writerow(CSV_COLUMNS.split(","))
-                # csv writes None as "" and a float as its repr; only ok is
-                # spelled out
-                for row in report.rows:
-                    writer.writerow(
-                        {**vars(row), "ok": "true" if row.ok else "false"}.values()
-                    )
+                _write_csv(report, handle)
         else:
-            # rows hold only scalars, so their __dict__ serialises as
-            # asdict() would, without the deep copy
-            payload = {
-                "experiment": report.experiment,
-                "version": report.version,
-                "config": report.config,
-                "rows": [vars(row) for row in report.rows],
-                "aggregates": report.aggregates,
-            }
             with open(path, "w") as handle:
-                json.dump(payload, handle, indent=2)
-                handle.write("\n")
+                _write_json(report, handle)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc

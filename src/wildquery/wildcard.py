@@ -95,7 +95,12 @@ class QueryPattern:
         if isinstance(fixed_letters, int):
             letters: list[int | None] = [fixed_letters] * n_fixed
         else:
-            letters = list(fixed_letters)
+            try:
+                letters = list(fixed_letters)
+            except TypeError:
+                raise PatternShapeError(
+                    f"fixed letters must be an int or a sequence: {fixed_letters!r}"
+                ) from None
         if len(letters) != n_fixed:
             raise PatternShapeError(
                 f"need {n_fixed} fixed letters for m={m} with "

@@ -132,3 +132,21 @@ def test_wildcard_query_calls_lookup_once_per_expansion(monkeypatch):
     res = net.wildcard_query(pattern, 0)
     assert len(calls) == 8
     assert calls == list(res.keys)
+
+
+def test_emit_is_a_module_global_called_with_report_fmt_path(tmp_path):
+    # perfbench/worker.py reads experiments.emit, wraps it when traced and
+    # calls it positionally as emit(report, fmt, path) for csv, then json
+    assert "emit" in vars(experiments)
+    positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+    params = inspect.signature(experiments.emit).parameters
+    assert [(p.name, p.kind) for p in params.values()] == [
+        ("report", positional), ("fmt", positional), ("path", positional),
+    ]
+    report = experiments.run_experiment(
+        experiments.ExperimentConfig(experiment="trie-exact", seed=7, m=3, w=1)
+    )
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"report.{fmt}"
+        experiments.emit(report, fmt, str(path))
+        assert path.stat().st_size > 0, fmt

@@ -1,6 +1,8 @@
 import contextlib
+import csv
 import io
 import json
+import math
 import signal
 import tempfile
 import time
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_golden import GOLDEN
+from test_golden import GOLDEN, _case_id
 
 from wildquery import experiments
 from wildquery.cli import _INT_DESTS, main
@@ -20,6 +22,7 @@ from wildquery.experiments import (
     ExperimentConfig,
     ExperimentFailure,
     ExperimentReport,
+    Row,
     SizingError,
     emit,
     run_chord_decay,
@@ -220,7 +223,91 @@ class TestRunners:
             run_experiment(cfg("warp-drive"))
 
 
+def _old_emit(report, fmt, path):
+    """The writer emit replaced, kept as its byte oracle: json.dump with
+    indent=2 over the whole payload, and one dict per CSV row."""
+    if fmt == "csv":
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(CSV_COLUMNS.split(","))
+            for row in report.rows:
+                writer.writerow(
+                    {**vars(row), "ok": "true" if row.ok else "false"}.values()
+                )
+    else:
+        payload = {
+            "experiment": report.experiment,
+            "version": report.version,
+            "config": report.config,
+            "rows": [vars(row) for row in report.rows],
+            "aggregates": report.aggregates,
+        }
+        with open(path, "w") as handle:
+            json.dump(payload, handle, indent=2)
+            handle.write("\n")
+
+
+def _assert_emits_as_oracle(report, tmp_path, formats=("csv", "json")):
+    for fmt in formats:
+        got, want = tmp_path / f"got.{fmt}", tmp_path / f"want.{fmt}"
+        emit(report, fmt, got)
+        _old_emit(report, fmt, want)
+        assert got.read_bytes() == want.read_bytes(), fmt
+
+
+# string cells json must escape and % must not format, every float
+# json spells by name, and None
+SPECIAL_SEEDS = ["caf\u00e9 \u2713", "100%", '"q"', "back\\slash", "nul\x00byte",
+                 "%s%%", "a,b\tc\nd", 7]
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, 0.1, 3, None]
+
+
+def _special_report(n_rows):
+    seeds, floats = SPECIAL_SEEDS, SPECIAL_FLOATS
+    rows = [
+        Row(
+            "trie-exact", None if i % 3 == 0 else i, i % 4, 2, None,
+            f"%d {seeds[i % len(seeds)]}", i,
+            floats[i % (len(floats) - 1)],  # measured is never None
+            i + 1, 3, floats[(i + 1) % len(floats)], i % 2 == 0,
+            seeds[i % len(seeds)],
+        )
+        for i in range(n_rows)
+    ]
+    aggregates = {
+        "mean": math.nan, "max": math.inf, "min": -math.inf, "none": None,
+        "nested": {
+            "list": [1, 2.5, None, "\u00e9%\x00\"", {"deep": [-math.inf, True]}],
+            "empty_list": [], "empty_dict": {},
+        },
+    }
+    config = {"experiment": "trie-exact", "seed": "\u00e9%\"\\\x00", "m": None}
+    return ExperimentReport("trie-exact", config, "0", rows, aggregates)
+
+
 class TestEmit:
+    @pytest.mark.parametrize("case", GOLDEN, ids=map(_case_id, GOLDEN))
+    def test_golden_reports_match_the_old_writer(self, case, tmp_path):
+        name, params, *_ = case
+        report = run_experiment(ExperimentConfig(experiment=name, seed=7, **params))
+        _assert_emits_as_oracle(report, tmp_path)
+
+    # 0 and 1 row, and either side of the 64-row encode chunks
+    @pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 130])
+    def test_special_values_match_the_old_writer(self, n_rows, tmp_path):
+        _assert_emits_as_oracle(_special_report(n_rows), tmp_path)
+
+    def test_empty_json_report(self, tmp_path):
+        report = ExperimentReport(
+            experiment="trie-exact", config={}, version="0", rows=[],
+            aggregates={},
+        )
+        _assert_emits_as_oracle(report, tmp_path, formats=("json",))
+        assert (tmp_path / "got.json").read_text() == (
+            '{\n  "experiment": "trie-exact",\n  "version": "0",\n'
+            '  "config": {},\n  "rows": [],\n  "aggregates": {}\n}\n'
+        )
+
     def test_csv_header_and_shape(self, tmp_path):
         report = run_trie_exact(cfg("trie-exact", m=2, w=1))
         path = tmp_path / "r.csv"

@@ -190,6 +190,13 @@ class TestPattern:
             QueryPattern.from_configuration(4, (1,), letters)
 
     @pytest.mark.parametrize(
+        "letters", [1.5, None, object()], ids=["float", "none", "object"]
+    )
+    def test_fixed_letters_that_are_no_int_or_sequence(self, letters):
+        with pytest.raises(PatternShapeError):
+            QueryPattern.from_configuration(4, (1,), letters)
+
+    @pytest.mark.parametrize(
         "symbols", [(1.5, None), (1, None, True), (-1, None), ("1", None)]
     )
     def test_letters_must_be_non_negative_ints(self, symbols):
