@@ -41,7 +41,7 @@ FULL = "full"
 ENTRY_BOUND = "entry-bound"
 
 MAX_RING_BITS = 24
-DEFAULT_MAX_LOOKUPS = 1 << 12
+MAX_LOOKUPS = 1 << 12  # expansions one wildcard query may look up
 
 
 class LookupOutcome(NamedTuple):
@@ -64,12 +64,11 @@ class LookupOutcome(NamedTuple):
 class RingQueryResult:
     """A wildcard query resolved over the ring, key by key.
 
-    Keys appear in protocol order (all wildcards 0 first, then repeated
-    flips of the least significant unfinished wildcard). Hop counts line
-    up with `keys`.
+    Hop counts line up with `pattern.expansions(2)`, the protocol order
+    (all wildcards 0 first, then repeated flips of the least significant
+    unfinished wildcard).
     """
 
-    keys: tuple[int, ...]
     matches: frozenset[int]
     per_key_hops: tuple[int, ...]
     total_hops: int
@@ -183,20 +182,6 @@ class ChordNetwork:
                 self._build_table(addr)
         return self
 
-    def store_entry(self, d: int) -> None:
-        """Place a single entry at the successor of d."""
-        if not 0 <= d < self.size:
-            raise ValueError(f"data key {d} outside the ring")
-        addr = self.successor_of(d)
-        self.loads[addr] += 1
-        self._stored[d] += 1
-        if self.finger_mode == ENTRY_BOUND:
-            self._build_table(addr)  # only the owner's grant changed
-
-    def ground_truth(self, d: int) -> bool:
-        """Omniscient membership: scan-all equivalent over stored entries."""
-        return self._stored[d] > 0
-
     def stored_keys(self) -> list[int]:
         """Distinct data keys currently stored, ascending."""
         return sorted(self._stored)
@@ -257,13 +242,7 @@ class ChordNetwork:
             found, found == truth, len(path) - 1, tuple(path), error
         )
 
-    def wildcard_query(
-        self,
-        pattern: QueryPattern,
-        start: int,
-        *,
-        max_lookups: int = DEFAULT_MAX_LOOKUPS,
-    ) -> RingQueryResult:
+    def wildcard_query(self, pattern: QueryPattern, start: int) -> RingQueryResult:
         """Resolve every expansion of a binary pattern over the ring.
 
         Expansions are looked up in protocol order, each starting at the
@@ -276,25 +255,22 @@ class ChordNetwork:
         for s in pattern.symbols:
             if s is not None and s > 1:
                 raise PatternShapeError("ring patterns are binary")
-        if 2**pattern.wildcard_count > max_lookups:
+        if 2**pattern.wildcard_count > MAX_LOOKUPS:
             raise SizeLimitError(
-                f"{2 ** pattern.wildcard_count} lookups exceed {max_lookups}"
+                f"{2 ** pattern.wildcard_count} lookups exceed {MAX_LOOKUPS}"
             )
         peer = start
-        keys = []
         hops = []
         resolved = True
         matches = set()
         for d in pattern.expansions(2):
             outcome = self.lookup(d, peer)
-            keys.append(d)
             hops.append(outcome.hops)
             resolved = resolved and not outcome.error_case
             if outcome.found:
                 matches.add(d)
             peer = outcome.path[-1]
         return RingQueryResult(
-            keys=tuple(keys),
             matches=frozenset(matches),
             per_key_hops=tuple(hops),
             total_hops=sum(hops),

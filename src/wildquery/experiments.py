@@ -34,7 +34,7 @@ from .analysis import (
 )
 from .dht import ENTRY_BOUND, FULL, build_network
 from .errors import SizeLimitError
-from .trie import complete_trie, random_trie
+from .trie import MAX_TRIE_KEYS, complete_trie, random_trie
 from .wildcard import (
     QueryPattern,
     backtracking_query,
@@ -47,7 +47,6 @@ DECAY_SEEDS = 20
 
 # desk-scale ceilings; anything larger is refused with a sizing hint
 MAX_ENUM_WORK = 50_000_000
-MAX_TRIE_KEYS = 1 << 20
 MAX_IDENTITY_M = 25
 MAX_LAW_TRIALS = 10_000_000
 MAX_RING_NODES = 1 << 12
@@ -130,16 +129,17 @@ def _config_label(positions) -> str:
 
 
 def _row_adder(cfg, rows, m=None, w=None, k=None, n=None, with_ratio=True):
-    """Return add(param, measured, bound, ok=True), which appends a Row
-    numbered by its index in `rows`. `bound` is an int or a Fraction."""
+    """Return add(param, measured, bound), which appends a Row numbered by
+    its index in `rows`. `bound` is an int or a Fraction. Runners raise
+    before adding a row whose check fails, so every row is ok."""
     experiment, seed, append = cfg.experiment, cfg.seed, rows.append
 
-    def add(param, measured, bound, ok=True) -> None:
+    def add(param, measured, bound) -> None:
         num, den = bound.numerator, bound.denominator
         ratio = float(measured) * den / num if with_ratio and num else None
         append(Row(
             experiment, m, w, k, n, param, len(rows), measured, num, den,
-            ratio, ok, seed,
+            ratio, True, seed,
         ))
 
     return add
@@ -214,12 +214,11 @@ def run_trie_exact(cfg: ExperimentConfig) -> ExperimentReport:
         steps = backtracking_query(
             trie, QueryPattern.from_configuration(m, positions)
         ).steps
-        ok = steps == bound
-        add(_config_label(positions), steps, bound, ok)
-        if not ok:
+        if steps != bound:
             raise ExperimentFailure(
                 f"steps {steps} != bound {bound} for configuration {positions}"
             )
+        add(_config_label(positions), steps, bound)
     measured_mean = Fraction(sum(row.measured for row in rows), len(rows))
     if measured_mean != bound_mean:
         raise ExperimentFailure(
@@ -247,7 +246,10 @@ def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
     _require_trie(cfg)
     m, w, k = cfg.m, cfg.w, cfg.k
     trials, population = cfg.trials, cfg.population
-    _require(0 <= population <= k**m, f"population {population} over k**m")
+    _require(
+        0 <= population <= k**m,
+        f"need 0 <= population <= k**m = {k**m}, got {population}",
+    )
     _require(1 <= trials <= 1_000_000, f"trials {trials} out of range")
 
     bound_mean = mean_step_bound(m, w, k)
@@ -265,12 +267,11 @@ def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
         positions = pattern.wildcard_positions()
         bound = config_step_bound(m, w, positions, k)
         steps = backtracking_query(trie, pattern).steps
-        ok = steps <= bound
-        add(_config_label(positions), steps, bound, ok)
-        if not ok:
+        if steps > bound:
             raise ExperimentFailure(
                 f"steps {steps} > bound {bound} at trial {trial}"
             )
+        add(_config_label(positions), steps, bound)
     samples = [row.measured for row in rows]
     mean = statistics.fmean(samples)
     sem = (
@@ -309,20 +310,18 @@ def run_identity_sweep(cfg: ExperimentConfig) -> ExperimentReport:
             add = _row_adder(cfg, rows, m=m, w=w, k=2)
             by_sum = mean_step_bound_hypergeometric(m, w)
             closed = mean_step_bound(m, w, 2)
-            ok = by_sum == closed
-            add("mean-form", float(by_sum), closed, ok)
-            if not ok:
+            if by_sum != closed:
                 raise ExperimentFailure(
                     f"sum form {by_sum} != closed form {closed} at m={m}, w={w}"
                 )
+            add("mean-form", float(by_sum), closed)
             for j in range(1, w + 1):
                 lhs, rhs = binomial_convolution_identity(m, w, j)
-                ok = lhs == rhs
-                add(f"convolution-j={j}", lhs, rhs, ok)
-                if not ok:
+                if lhs != rhs:
                     raise ExperimentFailure(
                         f"convolution {lhs} != {rhs} at m={m}, w={w}, j={j}"
                     )
+                add(f"convolution-j={j}", lhs, rhs)
     return _report(cfg, rows, {
         "max_m": m_max,
         "checks": len(rows),
@@ -357,13 +356,12 @@ def run_position_law(cfg: ExperimentConfig) -> ExperimentReport:
         for z, p in enumerate(pmf, start=1):
             freq = counts[j][z] / trials
             sigma = math.sqrt(float(p) * (1 - float(p)) / trials)
-            ok = abs(freq - float(p)) <= 3 * sigma
-            add(f"j={j}/z={z}", freq, p, ok)
-            if not ok:
+            if not abs(freq - float(p)) <= 3 * sigma:
                 raise ExperimentFailure(
                     f"frequency {freq} off exact {p} by more than 3 sigma "
                     f"at j={j}, z={z}"
                 )
+            add(f"j={j}/z={z}", freq, p)
     return _report(cfg, rows, {
         "trials": trials,
         "cells": len(rows),
@@ -463,7 +461,11 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
     m, w, n, trials = cfg.m, cfg.w, cfg.n, cfg.trials
     _require(0 <= w <= min(m, 6), f"need 0 <= w <= min(m, 6), got {w}")
     _require(1 <= trials <= MAX_CHORD_TRIALS, f"trials {trials} out of range")
-    _require(1 <= cfg.entries_factor, "entries factor out of range")
+    _require(
+        1 <= cfg.entries_factor,
+        f"need 1 <= entries factor <= {MAX_ENTRIES_FACTOR}, "
+        f"got {cfg.entries_factor}",
+    )
 
     net = build_network(n, m, f"{cfg.seed}|net", FULL)
     net.distribute_entries(cfg.entries_factor * m * n, f"{cfg.seed}|entries")
@@ -481,14 +483,13 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
         start = rng.randrange(n)
         res = net.wildcard_query(pattern, start)
         bound = config_step_bound(m, w, positions, 2)
-        ok = res.resolved and res.total_hops <= bound
-        add(_config_label(positions), res.total_hops, bound, ok)
         if not res.resolved:
             raise ExperimentFailure(f"unresolved query at trial {trial}")
         if res.total_hops > bound:
             raise ExperimentFailure(
                 f"total hops {res.total_hops} > bound {bound} at trial {trial}"
             )
+        add(_config_label(positions), res.total_hops, bound)
         # how often the idealized one-hop-per-bit accounting held exactly
         for c in range(1, 1 << w):
             flip = positions[(((c - 1) ^ c).bit_length()) - 1]

@@ -18,7 +18,8 @@ from bisect import bisect_left, insort
 
 from .errors import KeyRangeError, SizeLimitError
 
-DEFAULT_MAX_KEYS = 1 << 20
+# desk-scale ceiling on trie keys; the trie runners apply it too
+MAX_TRIE_KEYS = 1 << 20
 
 
 class Trie:
@@ -62,11 +63,12 @@ class Trie:
         return i < len(keys) and keys[i] == key
 
 
-def complete_trie(k: int, m: int, max_keys: int = DEFAULT_MAX_KEYS) -> Trie:
+def complete_trie(k: int, m: int) -> Trie:
     """Trie containing every key in [0, k**m)."""
-    if k**m > max_keys:
+    if k**m > MAX_TRIE_KEYS:
         raise SizeLimitError(
-            f"complete trie k={k}, m={m} has {k ** m} keys, over the limit {max_keys}"
+            f"complete trie k={k}, m={m} has {k ** m} keys, "
+            f"over the limit {MAX_TRIE_KEYS}"
         )
     trie = Trie(k, m)
     trie.keys = range(k**m)

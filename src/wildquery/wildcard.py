@@ -31,8 +31,9 @@ from .trie import Trie
 
 Configuration = tuple[int, ...]
 
-DEFAULT_MAX_EXPANSIONS = 1 << 12
-DEFAULT_MAX_CONFIGURATIONS = 1 << 20
+# desk-scale ceilings of the brute-force oracle and of configuration lists
+MAX_EXPANSIONS = 1 << 12
+MAX_CONFIGURATIONS = 1 << 20
 
 WILDCARD_CHAR = "*"
 
@@ -66,12 +67,12 @@ class QueryPattern:
 
     @classmethod
     def from_string(cls, text: str) -> "QueryPattern":
-        """Parse e.g. "1*0*0" (digits are letters, '*' a wildcard)."""
+        """Parse e.g. "1*0*0" (ASCII digits are letters, '*' a wildcard)."""
         symbols: list[int | None] = []
         for ch in text:
             if ch == WILDCARD_CHAR:
                 symbols.append(None)
-            elif ch.isdigit():
+            elif "0" <= ch <= "9":
                 symbols.append(int(ch))
             else:
                 raise PatternShapeError(f"bad pattern character {ch!r}")
@@ -112,17 +113,6 @@ class QueryPattern:
             letters.insert(m - z, None)
         return cls(tuple(letters))
 
-    def to_string(self) -> str:
-        parts = []
-        for s in self.symbols:
-            if s is None:
-                parts.append(WILDCARD_CHAR)
-            elif s > 9:
-                raise PatternShapeError("letters above 9 have no text form")
-            else:
-                parts.append(str(s))
-        return "".join(parts)
-
     @property
     def m(self) -> int:
         return len(self.symbols)
@@ -158,9 +148,6 @@ class QueryPattern:
         for wgt in weights:
             keys = [x + a * wgt for x in keys for a in range(k)]
         return iter(keys)
-
-    def __str__(self) -> str:
-        return self.to_string()
 
 
 @dataclass(frozen=True)
@@ -279,45 +266,35 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
     )
 
 
-def brute_force_query(
-    trie: Trie,
-    pattern: QueryPattern,
-    max_expansions: int = DEFAULT_MAX_EXPANSIONS,
-) -> set[int]:
+def brute_force_query(trie: Trie, pattern: QueryPattern) -> set[int]:
     """Oracle: test every expansion with a plain membership search.
 
     Shares no traversal state with backtracking_query.
     """
     _check_pattern(trie, pattern)
     w = pattern.wildcard_count
-    if trie.k**w > max_expansions:
+    if trie.k**w > MAX_EXPANSIONS:
         raise SizeLimitError(
-            f"{trie.k ** w} expansions exceed the limit {max_expansions}"
+            f"{trie.k ** w} expansions exceed the limit {MAX_EXPANSIONS}"
         )
     return {key for key in pattern.expansions(trie.k) if trie.contains(key)}
 
 
-def sample_configuration(m: int, w: int, seed) -> Configuration:
-    """Uniformly random w-subset of positions 1..m, fixed by `seed`.
-
-    `seed` may be anything random.Random accepts, including a Random
-    instance to draw from an existing stream.
-    """
+def sample_configuration(m: int, w: int, rng: random.Random) -> Configuration:
+    """Uniformly random w-subset of positions 1..m, drawn from `rng`."""
     if not 0 <= w <= m:
         raise ValueError(f"need 0 <= w <= m, got w={w}, m={m}")
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     return tuple(sorted(rng.sample(range(1, m + 1), w)))
 
 
-def enumerate_configurations(
-    m: int, w: int, max_count: int = DEFAULT_MAX_CONFIGURATIONS
-) -> list[Configuration]:
+def enumerate_configurations(m: int, w: int) -> list[Configuration]:
     """All w-subsets of positions 1..m in lexicographic order."""
     if not 0 <= w <= m:
         raise ValueError(f"need 0 <= w <= m, got w={w}, m={m}")
-    if math.comb(m, w) > max_count:
+    if math.comb(m, w) > MAX_CONFIGURATIONS:
         raise SizeLimitError(
-            f"C({m},{w}) = {math.comb(m, w)} configurations exceed {max_count}"
+            f"C({m},{w}) = {math.comb(m, w)} configurations exceed "
+            f"{MAX_CONFIGURATIONS}"
         )
     return list(itertools.combinations(range(1, m + 1), w))
 

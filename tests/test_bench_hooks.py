@@ -131,7 +131,8 @@ def test_wildcard_query_calls_lookup_once_per_expansion(monkeypatch):
     pattern = QueryPattern.from_string("0*1*0*")
     res = net.wildcard_query(pattern, 0)
     assert len(calls) == 8
-    assert calls == list(res.keys)
+    assert calls == list(pattern.expansions(2))
+    assert len(res.per_key_hops) == 8
 
 
 def test_emit_is_a_module_global_called_with_report_fmt_path(tmp_path):

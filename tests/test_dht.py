@@ -95,16 +95,13 @@ class TestConstruction:
 
     def test_fingers_match_ring_scan_oracle(self):
         self.assert_fingers_match_ring_scan(build_network(40, 10, seed=5))
-        rng = random.Random(6)
-        for count in (0, 60, 400):
-            net = build_network(40, 10, seed=5, finger_mode=ENTRY_BOUND)
+        net = build_network(40, 10, seed=5, finger_mode=ENTRY_BOUND)
+        # refills of one ring at growing loads: no fingers at 0, then
+        # more nodes granted more fingers, up to a mean load past m
+        for count in range(0, 601, 20):
             net.distribute_entries(count, seed=count)
             self.assert_fingers_match_ring_scan(net)
-            # single stores rebuild only the owner's table; the result
-            # must equal what a full rebuild over every node gives
-            for _ in range(150):
-                net.store_entry(rng.randrange(net.size))
-                self.assert_fingers_match_ring_scan(net)
+            # the refill's rebuild must equal a rebuild of a fresh ring
             fresh = ChordNetwork(net.m, net.node_keys, ENTRY_BOUND)
             fresh.loads = list(net.loads)
             for addr in range(net.n):
@@ -137,12 +134,13 @@ class TestEntries:
         rng = random.Random(7)
         want = [0] * net.n
         want_stored = Counter()
+        stored = set(net.stored_keys())
         for _ in range(400):
             addr = rng.randrange(net.n)
             lo, hi = net.node_keys[addr - 1], net.node_keys[addr]
             d = (lo + 1 + rng.randrange((hi - lo) % net.size)) % net.size
             assert net.successor_of(d) == addr
-            assert net.ground_truth(d)
+            assert d in stored
             want[addr] += 1
             want_stored[d] += 1
         assert net.loads == want
@@ -188,13 +186,6 @@ class TestEntries:
         light = sum(1 for load in net.loads if load < m)
         assert light / n < 0.01
 
-    def test_ground_truth_tracks_stores(self):
-        net = build_network(8, 8, seed=1)
-        assert not net.ground_truth(77)
-        net.store_entry(77)
-        assert net.ground_truth(77)
-        assert 77 in net.stored_keys()
-
 
 def test_cpython_randrange_still_redraws_getrandbits_below_bound():
     # The ring fill assumes Random.randrange(x) is CPython's
@@ -225,10 +216,11 @@ class TestLookup:
     def test_full_mode_exhaustive_sweep(self):
         net = build_network(32, 8, seed=9)
         net.distribute_entries(100, seed=10)
+        stored = set(net.stored_keys())
         for d in range(net.size):
             t = net.successor_of(d)
             tkey = net.node_keys[t]
-            truth = net.ground_truth(d)
+            truth = d in stored
             for start in range(net.n):
                 out = net.lookup(d, start)
                 assert out.correct and not out.error_case
@@ -250,8 +242,9 @@ class TestLookup:
 
     def test_reject_policy_answers_absent_on_stall(self):
         net = build_network(24, 8, seed=3, finger_mode=ENTRY_BOUND)
-        net.store_entry(200)
-        outcomes = [net.lookup(200, start) for start in range(net.n)]
+        net.distribute_entries(1, seed=3)  # one node gets one finger
+        (d,) = net.stored_keys()
+        outcomes = [net.lookup(d, start) for start in range(net.n)]
         stalled = [out for out in outcomes if out.error_case]
         assert stalled, "expected at least one stall without fingers"
         for out in stalled:
@@ -268,6 +261,7 @@ class TestLookup:
         m, n = 8, 24
         net = build_network(n, m, seed=3, finger_mode=ENTRY_BOUND)
         net.distribute_entries(count, seed=4)
+        stored = set(net.stored_keys())
         errors = 0
         for d in range(net.size):
             tkey = net.node_keys[net.successor_of(d)]
@@ -283,7 +277,7 @@ class TestLookup:
                     errors += 1
                     assert not out.found
                 else:
-                    assert out.correct and out.found == net.ground_truth(d)
+                    assert out.correct and out.found == (d in stored)
         if count == 0:
             assert errors, "a ring without fingers must stall somewhere"
 
@@ -334,13 +328,10 @@ class TestLookup:
         net = build_network(40, 10, seed=5)
         net.distribute_entries(200, seed=1)
         self.assert_bisect_matches_scan(net)
-        rng = random.Random(2)
-        for count in (0, 3 * 40, 10 * 40):
-            net = build_network(40, 10, seed=5, finger_mode=ENTRY_BOUND)
+        net = build_network(40, 10, seed=5, finger_mode=ENTRY_BOUND)
+        # refills at growing loads, from no fingers to a mean load past m
+        for count in (0, 40, 80, 120, 200, 280, 400, 480):
             net.distribute_entries(count, seed=count)
-            self.assert_bisect_matches_scan(net)
-            for _ in range(80):
-                net.store_entry(rng.randrange(net.size))
             self.assert_bisect_matches_scan(net)
 
     def test_bad_arguments(self):
@@ -357,13 +348,15 @@ class TestWildcardQuery:
         net.distribute_entries(300, seed=12)
         pattern = QueryPattern.from_configuration(10, (), 0)
         res = net.wildcard_query(pattern, 5)
-        assert len(res.keys) == 1
+        assert list(pattern.expansions(2)) == [0]
+        assert len(res.per_key_hops) == 1
         assert res.total_hops <= net.m
         assert res.resolved
 
     def test_matches_ground_truth_in_full_mode(self):
         net = build_network(128, 10, seed=13)
         net.distribute_entries(2000, seed=14)
+        stored = set(net.stored_keys())
         rng = random.Random(15)
         for _ in range(40):
             positions = sample_configuration(10, 3, rng)
@@ -371,7 +364,7 @@ class TestWildcardQuery:
             pattern = QueryPattern.from_configuration(10, positions, letters)
             res = net.wildcard_query(pattern, rng.randrange(net.n))
             assert res.resolved
-            truth = {d for d in pattern.expansions(2) if net.ground_truth(d)}
+            truth = {d for d in pattern.expansions(2) if d in stored}
             assert res.matches == truth
             assert res.total_hops == sum(res.per_key_hops)
 
@@ -385,6 +378,7 @@ class TestWildcardQuery:
             letters = [rng.randrange(2) for _ in range(14 - w)]
             pattern = QueryPattern.from_configuration(14, positions, letters)
             res = net.wildcard_query(pattern, rng.randrange(net.n))
+            keys = list(pattern.expansions(2))
             assert res.resolved
             assert res.total_hops <= config_step_bound(14, w, positions, 2)
             assert res.per_key_hops[0] <= net.m
@@ -392,7 +386,7 @@ class TestWildcardQuery:
                 flipped = positions[(((c - 1) ^ c).bit_length()) - 1]
                 assert res.per_key_hops[c] <= 2 * flipped
                 # successive keys differ only at and below the flipped position
-                assert (res.keys[c] ^ res.keys[c - 1]) < (1 << flipped)
+                assert (keys[c] ^ keys[c - 1]) < (1 << flipped)
 
     def test_mean_hops_over_enumerated_configs_under_average_bound(self):
         from wildquery.analysis import mean_step_bound
@@ -413,9 +407,25 @@ class TestWildcardQuery:
 
     def test_protocol_order_is_counting_order(self):
         net = build_network(16, 6, seed=19)
+        net.distribute_entries(96, seed=19)
         pattern = QueryPattern.from_string("0*1*0*")
+        keys = list(pattern.expansions(2))
+        # the least significant wildcard flips fastest
+        assert keys == [
+            0b001000, 0b001001, 0b001100, 0b001101,
+            0b011000, 0b011001, 0b011100, 0b011101,
+        ]
+        # replay: each key in that order, from where the last lookup ended
+        peer, hops, matches = 0, [], set()
+        for d in keys:
+            out = net.lookup(d, peer)
+            hops.append(out.hops)
+            if out.found:
+                matches.add(d)
+            peer = out.path[-1]
         res = net.wildcard_query(pattern, 0)
-        assert list(res.keys) == list(pattern.expansions(2))
+        assert res.per_key_hops == tuple(hops)
+        assert res.matches == matches
 
     def test_rejects_non_binary_or_misshaped_patterns(self):
         net = build_network(8, 6, seed=20)
@@ -424,10 +434,10 @@ class TestWildcardQuery:
             net.wildcard_query(QueryPattern.from_string("2*0*00"), 0)
         with pytest.raises(PatternShapeError):
             net.wildcard_query(QueryPattern.from_string("***"), 0)
+        # 2**13 lookups, past the 2**12 limit, refused before the first
+        big = build_network(2, 13, seed=20)
         with pytest.raises(SizeLimitError):
-            net.wildcard_query(
-                QueryPattern.from_string("******"), 0, max_lookups=16
-            )
+            big.wildcard_query(QueryPattern.from_string("*" * 13), 0)
 
     def test_deterministic(self):
         net = build_network(64, 10, seed=21)

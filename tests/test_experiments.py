@@ -467,6 +467,50 @@ class TestCli:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "args, hint",
+        [
+            (["trie-random", "--population", "-1"],
+             "need 0 <= population <= k**m = 4096, got -1"),
+            (["chord-wildcard", "--entries-factor", "0"],
+             f"need 1 <= entries factor <= {MAX_ENTRIES_FACTOR}, got 0"),
+        ],
+        ids=["population", "entries-factor"],
+    )
+    def test_sizing_hint_names_range_and_value(self, args, hint, tmp_path):
+        args += ["--seed", "7", "--out", str(tmp_path / "r.csv")]
+        code, err = _run_main(args, budget_s=_REFUSAL_BUDGET_S)
+        assert code == 2
+        assert f"sizing error: {hint}\n" in err
+
+    # 5 examples for each of the 7 experiments
+    @pytest.mark.parametrize("name", experiments.EXPERIMENT_NAMES)
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_in_range_flags_exit_with_a_documented_code(self, name, data):
+        m = data.draw(st.integers(1, 17))
+        flags = {
+            "m": m,
+            "w": data.draw(st.integers(0, min(m, 9))),
+            "k": data.draw(st.integers(2, 5)),
+            "n": data.draw(st.integers(2, min(300, 1 << m))),
+            "population": data.draw(st.integers(0, 300)),
+            "entries-factor": data.draw(st.integers(0, 8)),
+            "trials": data.draw(st.integers(0, 60)),
+            "mode": data.draw(st.sampled_from(["full", "entry-bound"])),
+            "format": data.draw(st.sampled_from(["csv", "json"])),
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            args = [name, "--seed", "7", "--out", str(Path(tmp) / "r")]
+            args += [f"--{flag}={value}" for flag, value in flags.items()]
+            code, err = _run_main(args, budget_s=_RUN_BUDGET_S)
+        assert code in (0, 1, 2), (args, code, err)
+        assert "Traceback" not in err, (args, err)
+        if code == 1:
+            assert "ASSERTION FAILED" in err, (args, err)
+        if code == 2:
+            assert "usage error" in err or "sizing error" in err, (args, err)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_mistyped_config_value_is_usage_error(self, data):

@@ -89,9 +89,6 @@ SNAPSHOTS = {
     "entry-bound": (
         "b28e18a00150c393e4e7c7f0d122f7b3ac6c2382bdec82f6d946d55fa7a03514"
     ),
-    "entry-bound-stored": (
-        "3172217515fe9937a1aacc0079730baff63533ad4967e60950e310df11f821a7"
-    ),
 }
 
 
@@ -107,6 +104,3 @@ def test_ring_snapshot_digests():
     net = build_network(24, 10, seed=9, finger_mode=ENTRY_BOUND)
     net.distribute_entries(60, seed=10)
     assert _snapshot_sha(net) == SNAPSHOTS["entry-bound"]
-    for d in (0, 5, 77, 512, 513, 1000, 1023, 77):
-        net.store_entry(d)
-    assert _snapshot_sha(net) == SNAPSHOTS["entry-bound-stored"]

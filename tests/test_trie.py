@@ -82,7 +82,7 @@ def test_complete_trie_node_count_formula(k, m):
 
 def test_complete_trie_size_limit():
     with pytest.raises(SizeLimitError):
-        complete_trie(2, 10, max_keys=512)
+        complete_trie(2, 21)  # 2**21 keys, past the 2**20 limit
 
 
 def test_key_range_errors():
