@@ -2,7 +2,9 @@
 
 Exit codes: 0 all assertions passed, 1 an assertion was violated,
 2 usage or sizing problem. Flags may come from the command line or a JSON
-config file (--config); explicit flags win over the file.
+config file (--config); explicit flags win over the file. Each subcommand
+takes only the parameters its experiment reads, the keys of its DEFAULTS
+entry, plus seed, format and out; chord modes are fixed, not options.
 """
 
 from __future__ import annotations
@@ -41,9 +43,22 @@ DEFAULTS = {
     },
 }
 
-_INT_DESTS = ("m", "w", "k", "n", "population", "entries_factor", "trials")
-_FLAG_DESTS = (*_INT_DESTS, "seed", "mode", "fmt", "out")
-_MODES = (FULL, ENTRY_BOUND)
+# dest -> (flag, help) of every integer parameter; a subcommand gets the
+# flags of the dests in its DEFAULTS entry
+_PARAMETER_FLAGS = {
+    "m": ("--m", "key length in letters/bits"),
+    "w": ("--w", "number of wildcards"),
+    "k": ("--k", "trie arity"),
+    "n": ("--n", "ring nodes"),
+    "population": ("--population", "keys stored per trie"),
+    "entries_factor": (
+        "--entries-factor",
+        "entries = factor * m * n (for chord-decay, the sweep maximum)",
+    ),
+    "trials": (
+        "--trials", "trial count (chord-single: 0 sweeps every target and start)",
+    ),
+}
 _FORMATS = ("csv", "json")
 
 
@@ -56,21 +71,10 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="experiment", required=True)
     for name in EXPERIMENT_NAMES:
         sub = subparsers.add_parser(name, help=f"run the {name} experiment")
-        sub.add_argument("--m", type=int, help="key length in letters/bits")
-        sub.add_argument("--w", type=int, help="number of wildcards")
-        sub.add_argument("--k", type=int, help="trie arity")
-        sub.add_argument("--n", type=int, help="ring nodes")
-        sub.add_argument("--population", type=int, help="keys stored per trie")
-        sub.add_argument(
-            "--entries-factor", dest="entries_factor", type=int,
-            help="entries = factor * m * n (for chord-decay, the sweep maximum)",
-        )
-        sub.add_argument(
-            "--trials", type=int,
-            help="trial count (chord-single: 0 sweeps every target and start)",
-        )
+        for dest, (flag, help_text) in _PARAMETER_FLAGS.items():
+            if dest in DEFAULTS[name]:
+                sub.add_argument(flag, dest=dest, type=int, help=help_text)
         sub.add_argument("--seed", type=int, help="master seed (required)")
-        sub.add_argument("--mode", choices=_MODES, help="finger mode")
         sub.add_argument(
             "--format", dest="fmt", choices=_FORMATS, help="report format"
         )
@@ -85,23 +89,28 @@ def _check_types(merged: dict) -> None:
     def is_int(value) -> bool:
         return isinstance(value, int) and not isinstance(value, bool)
 
-    for dest in _INT_DESTS:
+    for dest in _PARAMETER_FLAGS:
         if dest in merged and not is_int(merged[dest]):
             raise SizeLimitError(f"{dest} must be an integer, got {merged[dest]!r}")
     seed = merged["seed"]
     if not (is_int(seed) or isinstance(seed, str)):
         raise SizeLimitError(f"seed must be an integer or a string, got {seed!r}")
-    for dest, choices in (("mode", _MODES), ("fmt", _FORMATS)):
-        if dest in merged and merged[dest] not in choices:
-            raise SizeLimitError(
-                f"{dest} must be one of {', '.join(choices)}, got {merged[dest]!r}"
-            )
+    if "fmt" in merged and merged["fmt"] not in _FORMATS:
+        raise SizeLimitError(
+            f"fmt must be one of {', '.join(_FORMATS)}, got {merged['fmt']!r}"
+        )
     if merged.get("out") is not None and not isinstance(merged["out"], str):
         raise SizeLimitError(f"out must be a path string, got {merged['out']!r}")
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    merged = dict(DEFAULTS.get(args.experiment, {}))
+    # the subcommand's own flags: its parameters plus seed, fmt and out
+    flags = {
+        dest: value
+        for dest, value in vars(args).items()
+        if dest not in ("experiment", "config")
+    }
+    merged = dict(DEFAULTS[args.experiment])
     if args.config:
         try:
             with open(args.config) as handle:
@@ -117,14 +126,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise SizeLimitError(
                 f"config file is for {stated!r}, not {args.experiment!r}"
             )
-        unknown = set(loaded) - set(_FLAG_DESTS)
+        unknown = loaded.keys() - flags.keys()
         if unknown:
-            raise SizeLimitError(f"unknown config keys: {sorted(unknown)}")
+            raise SizeLimitError(
+                f"{args.experiment} reads no config keys {sorted(unknown)}; "
+                f"it takes {', '.join(flags)}"
+            )
         merged.update(loaded)
-    for dest in _FLAG_DESTS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            merged[dest] = value
+    merged.update((dest, value) for dest, value in flags.items() if value is not None)
     if merged.get("seed") is None:
         raise SizeLimitError("a seed is mandatory; pass --seed")
     _check_types(merged)

@@ -48,6 +48,7 @@ DECAY_SEEDS = 20
 # desk-scale ceilings; anything larger is refused with a sizing hint
 MAX_ENUM_WORK = 50_000_000
 MAX_IDENTITY_M = 25
+MAX_TRIALS = 1_000_000
 MAX_LAW_TRIALS = 10_000_000
 MAX_RING_NODES = 1 << 12
 MAX_SWEEP_WORK = 1 << 21
@@ -175,8 +176,11 @@ def _require_trie(cfg) -> None:
 def _require_ring(cfg, mode: str, min_m: int = 1) -> None:
     """The mode, ring size and entry ranges of the three chord runners."""
     m, n = cfg.m, cfg.n
-    _require(cfg.mode == mode, f"{cfg.experiment} requires --mode {mode}")
-    _require(2 <= n <= MAX_RING_NODES, f"need 2 <= n <= {MAX_RING_NODES}")
+    _require(
+        cfg.mode == mode,
+        f"{cfg.experiment} needs finger mode {mode!r}, got {cfg.mode!r}",
+    )
+    _require(2 <= n <= MAX_RING_NODES, f"need 2 <= n <= {MAX_RING_NODES}, got {n}")
     _require(min_m <= m <= 16, f"need {min_m} <= m <= 16, got {m}")
     _require(n <= 1 << m, f"need n <= 2**m, got n={n}, m={m}")
     _require(
@@ -250,7 +254,9 @@ def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
         0 <= population <= k**m,
         f"need 0 <= population <= k**m = {k**m}, got {population}",
     )
-    _require(1 <= trials <= 1_000_000, f"trials {trials} out of range")
+    _require(
+        1 <= trials <= MAX_TRIALS, f"need 1 <= trials <= {MAX_TRIALS}, got {trials}"
+    )
 
     bound_mean = mean_step_bound(m, w, k)
     trie_count = max(1, trials // 100)
@@ -303,7 +309,10 @@ def run_identity_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     and that the binomial convolution collapses to a single binomial.
     """
     m_max = cfg.m
-    _require(1 <= m_max <= MAX_IDENTITY_M, f"need 1 <= m <= {MAX_IDENTITY_M}")
+    _require(
+        1 <= m_max <= MAX_IDENTITY_M,
+        f"need 1 <= m <= {MAX_IDENTITY_M}, got {m_max}",
+    )
     rows: list[Row] = []
     for m in range(1, m_max + 1):
         for w in range(1, m + 1):
@@ -338,7 +347,10 @@ def run_position_law(cfg: ExperimentConfig) -> ExperimentReport:
     """
     m, w, trials = cfg.m, cfg.w, cfg.trials
     _require(1 <= w <= m <= 64, f"need 1 <= w <= m <= 64, got m={m}, w={w}")
-    _require(1 <= trials <= MAX_LAW_TRIALS, f"trials {trials} out of range")
+    _require(
+        1 <= trials <= MAX_LAW_TRIALS,
+        f"need 1 <= trials <= {MAX_LAW_TRIALS}, got {trials}",
+    )
 
     rng = _rng(cfg.seed, "draws")
     counts = [[0] * (m + 1) for _ in range(w + 1)]
@@ -402,7 +414,11 @@ def run_chord_single(cfg: ExperimentConfig) -> ExperimentReport:
             f"exhaustive sweep 2**m * n = {(1 << m) * n} exceeds {MAX_SWEEP_WORK}",
         )
     else:
-        _require(1 <= trials <= 1_000_000, f"trials {trials} out of range")
+        _require(
+            1 <= trials <= MAX_TRIALS,
+            f"need 0 <= trials <= {MAX_TRIALS} (0 sweeps every pair), "
+            f"got {trials}",
+        )
 
     net = build_network(n, m, f"{cfg.seed}|net", FULL)
     net.distribute_entries(cfg.entries_factor * m * n, f"{cfg.seed}|entries")
@@ -460,7 +476,10 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
     _require_ring(cfg, FULL)
     m, w, n, trials = cfg.m, cfg.w, cfg.n, cfg.trials
     _require(0 <= w <= min(m, 6), f"need 0 <= w <= min(m, 6), got {w}")
-    _require(1 <= trials <= MAX_CHORD_TRIALS, f"trials {trials} out of range")
+    _require(
+        1 <= trials <= MAX_CHORD_TRIALS,
+        f"need 1 <= trials <= {MAX_CHORD_TRIALS}, got {trials}",
+    )
     _require(
         1 <= cfg.entries_factor,
         f"need 1 <= entries factor <= {MAX_ENTRIES_FACTOR}, "
@@ -477,9 +496,8 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
     sharp_keys = 0
     for trial in range(trials):
         rng = _rng(cfg.seed, "trial", trial)
-        positions = sample_configuration(m, w, rng)
-        fixed = [rng.randrange(2) for _ in range(m - w)]
-        pattern = QueryPattern.from_configuration(m, positions, fixed)
+        pattern = random_pattern(m, w, 2, rng)
+        positions = pattern.wildcard_positions()
         start = rng.randrange(n)
         res = net.wildcard_query(pattern, start)
         bound = config_step_bound(m, w, positions, 2)
@@ -528,10 +546,14 @@ def run_chord_decay(cfg: ExperimentConfig) -> ExperimentReport:
     """
     _require_ring(cfg, ENTRY_BOUND, min_m=4)
     m, n, per_seed = cfg.m, cfg.n, cfg.trials
-    _require(1 <= per_seed <= MAX_CHORD_TRIALS, f"trials {per_seed} out of range")
+    _require(
+        1 <= per_seed <= MAX_CHORD_TRIALS,
+        f"need 1 <= trials <= {MAX_CHORD_TRIALS}, got {per_seed}",
+    )
     _require(
         1 <= cfg.entries_factor,
-        "entries factor must be in 1..64 (0 has no stored keys to look up)",
+        f"need 1 <= entries factor <= {MAX_ENTRIES_FACTOR}, "
+        f"got {cfg.entries_factor} (0 has no stored keys to look up)",
     )
 
     factors = [1 << i for i in range(cfg.entries_factor.bit_length())]

@@ -56,7 +56,7 @@ TRACED_CALLS = {
     "chord-single": {"_halving_ok": 4096, "build_network": 1},
     "chord-wildcard": {
         "build_network": 1, "config_step_bound": 60, "mean_step_bound": 1,
-        "sample_configuration": 60,
+        "random_pattern": 60,
     },
     "chord-decay": {"build_network": 60},
 }

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 from test_golden import GOLDEN, _case_id
 
 from wildquery import experiments
-from wildquery.cli import _INT_DESTS, main
+from wildquery import cli
+from wildquery.cli import DEFAULTS, build_parser, config_from_args, main
+from wildquery.dht import FULL
 from wildquery.experiments import (
     CSV_COLUMNS,
     MAX_ENTRIES_FACTOR,
@@ -39,6 +42,29 @@ from wildquery.experiments import (
 def cfg(experiment, **kw):
     kw.setdefault("seed", 7)
     return ExperimentConfig(experiment=experiment, **kw)
+
+
+def _flag(dest):
+    return "--" + dest.replace("_", "-")
+
+
+def _cli_params(params):
+    """The parameters a subcommand takes as flags: all but the fixed mode."""
+    return {dest: value for dest, value in params.items() if dest != "mode"}
+
+
+# every experiment parameter of ExperimentConfig, the fixed mode included
+_PARAMETERS = [
+    f.name for f in dataclasses.fields(ExperimentConfig)
+    if f.name not in ("experiment", "seed", "fmt", "out")
+]
+# (experiment, parameter) for each parameter the experiment does not read
+_UNREAD = [
+    (name, dest)
+    for name in experiments.EXPERIMENT_NAMES
+    for dest in _PARAMETERS
+    if dest not in _cli_params(DEFAULTS[name])
+]
 
 
 _RUN_BUDGET_S = 20.0  # a golden config runs in well under a second
@@ -152,7 +178,9 @@ class TestRunners:
         assert report.aggregates["lookups"] == (1 << 7) * 16
 
     def test_chord_single_requires_full_mode(self):
-        with pytest.raises(SizingError):
+        with pytest.raises(
+            SizingError, match="needs finger mode 'full', got 'entry-bound'"
+        ):
             run_chord_single(
                 cfg("chord-single", m=10, n=64, trials=10, mode="entry-bound")
             )
@@ -405,8 +433,6 @@ class TestCli:
     def test_unwritable_out_rejected_before_run(
         self, where, tmp_path, monkeypatch, capsys
     ):
-        from wildquery import cli
-
         def must_not_run(cfg):
             raise AssertionError("the run started despite an unwritable --out")
 
@@ -474,8 +500,28 @@ class TestCli:
              "need 0 <= population <= k**m = 4096, got -1"),
             (["chord-wildcard", "--entries-factor", "0"],
              f"need 1 <= entries factor <= {MAX_ENTRIES_FACTOR}, got 0"),
+            (["trie-random", "--trials", "0"],
+             "need 1 <= trials <= 1000000, got 0"),
+            (["position-law", "--trials", "0"],
+             "need 1 <= trials <= 10000000, got 0"),
+            (["chord-single", "--trials", "-1"],
+             "need 0 <= trials <= 1000000 (0 sweeps every pair), got -1"),
+            (["chord-wildcard", "--trials", "0"],
+             "need 1 <= trials <= 100000, got 0"),
+            (["chord-decay", "--trials", "100001"],
+             "need 1 <= trials <= 100000, got 100001"),
+            (["chord-single", "--n", "1"], "need 2 <= n <= 4096, got 1"),
+            (["identity-sweep", "--m", "26"], "need 1 <= m <= 25, got 26"),
+            (["chord-decay", "--entries-factor", "0"],
+             f"need 1 <= entries factor <= {MAX_ENTRIES_FACTOR}, got 0 "
+             "(0 has no stored keys to look up)"),
         ],
-        ids=["population", "entries-factor"],
+        ids=[
+            "population", "entries-factor", "trie-random-trials",
+            "position-law-trials", "chord-single-trials",
+            "chord-wildcard-trials", "chord-decay-trials", "ring-nodes",
+            "identity-m", "decay-entries-factor",
+        ],
     )
     def test_sizing_hint_names_range_and_value(self, args, hint, tmp_path):
         args += ["--seed", "7", "--out", str(tmp_path / "r.csv")]
@@ -489,20 +535,23 @@ class TestCli:
     @given(data=st.data())
     def test_in_range_flags_exit_with_a_documented_code(self, name, data):
         m = data.draw(st.integers(1, 17))
-        flags = {
-            "m": m,
-            "w": data.draw(st.integers(0, min(m, 9))),
-            "k": data.draw(st.integers(2, 5)),
-            "n": data.draw(st.integers(2, min(300, 1 << m))),
-            "population": data.draw(st.integers(0, 300)),
-            "entries-factor": data.draw(st.integers(0, 8)),
-            "trials": data.draw(st.integers(0, 60)),
-            "mode": data.draw(st.sampled_from(["full", "entry-bound"])),
-            "format": data.draw(st.sampled_from(["csv", "json"])),
+        ranges = {
+            "w": st.integers(0, min(m, 9)),
+            "k": st.integers(2, 5),
+            "n": st.integers(2, min(300, 1 << m)),
+            "population": st.integers(0, 300),
+            "entries_factor": st.integers(0, 8),
+            "trials": st.integers(0, 60),
         }
+        flags = {"m": m}
+        for dest, values in ranges.items():
+            if dest in DEFAULTS[name]:
+                flags[dest] = data.draw(values)
+        fmt = data.draw(st.sampled_from(["csv", "json"]))
         with tempfile.TemporaryDirectory() as tmp:
-            args = [name, "--seed", "7", "--out", str(Path(tmp) / "r")]
-            args += [f"--{flag}={value}" for flag, value in flags.items()]
+            args = [name, "--seed", "7", "--format", fmt]
+            args += ["--out", str(Path(tmp) / "r")]
+            args += [f"{_flag(dest)}={value}" for dest, value in flags.items()]
             code, err = _run_main(args, budget_s=_RUN_BUDGET_S)
         assert code in (0, 1, 2), (args, code, err)
         assert "Traceback" not in err, (args, err)
@@ -523,42 +572,50 @@ class TestCli:
         )
         wrong = {
             "seed": junk,
-            "mode": junk | st.text().filter(lambda t: t not in ("full", "entry-bound")),
             "fmt": junk | st.text().filter(lambda t: t not in ("csv", "json")),
             "out": junk.filter(lambda v: v is not None),
         }
-        integers = ["m", "w", "k", "n", "population", "entries_factor", "trials"]
+        name = data.draw(st.sampled_from(experiments.EXPERIMENT_NAMES))
+        integers = list(_cli_params(DEFAULTS[name]))
         dest = data.draw(st.sampled_from([*integers, *wrong]))
         value = data.draw(wrong.get(dest, junk | st.text(max_size=4)))
         with tempfile.TemporaryDirectory() as tmp:
             config = Path(tmp) / "cfg.json"
-            config.write_text(json.dumps({"m": 3, "w": 1, "seed": 1, dest: value}))
+            config.write_text(json.dumps({"seed": 1, dest: value}))
             out = Path(tmp) / "r.csv"
-            args = ["trie-exact", "--config", str(config)]
+            args = [name, "--config", str(config)]
             if dest != "out":
                 args += ["--out", str(out)]
-            assert main(args) == 2, (dest, value)
+            code, err = _run_main(args, budget_s=_REFUSAL_BUDGET_S)
+            assert code == 2, (name, dest, value)
+            # refused by the type check, not as a key the experiment lacks
+            assert f"usage error: {dest} must be" in err or (
+                dest == "seed" and value is None
+            ), (name, dest, value, err)
             assert not out.exists()
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(
-        case=st.sampled_from([(name, params) for name, params, *_ in GOLDEN]),
-        flag=st.sampled_from(_INT_DESTS),
+        case=st.sampled_from([
+            (name, _cli_params(params), flag)
+            for name, params, *_ in GOLDEN
+            for flag in _cli_params(params)
+        ]),
         value=st.integers(max_value=-1) | st.integers(min_value=10**7 + 1),
     )
     # both stalled at the guards: k**m took seconds before any refusal, and
     # chord-single filled a ring with 10**7 * m * n entries
-    @example(case=("trie-exact", dict(m=5, w=2, k=3)), flag="m", value=10**7 + 1)
+    @example(case=("trie-exact", dict(m=5, w=2, k=3), "m"), value=10**7 + 1)
     @example(
-        case=("chord-single", dict(m=8, n=16, trials=0, mode="full")),
-        flag="entries_factor", value=10**7 + 1,
+        case=("chord-single", dict(m=8, n=16, trials=0), "entries_factor"),
+        value=10**7 + 1,
     )
-    def test_out_of_range_int_flag_is_refused_or_run(self, case, flag, value):
-        name, params = case
+    def test_out_of_range_int_flag_is_refused_or_run(self, case, value):
+        name, params, flag = case
         flags = {**params, flag: value}
         with tempfile.TemporaryDirectory() as tmp:
             args = [name, "--seed", "7", "--out", str(Path(tmp) / "r.csv")]
-            args += [f"--{k.replace('_', '-')}={v}" for k, v in flags.items()]
+            args += [f"{_flag(dest)}={v}" for dest, v in flags.items()]
             started = time.perf_counter()
             code, err = _run_main(args, budget_s=_RUN_BUDGET_S)
             elapsed = time.perf_counter() - started
@@ -567,3 +624,38 @@ class TestCli:
         if code == 2:
             assert elapsed < _REFUSAL_BUDGET_S, (args, elapsed, err)
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "name, dest", _UNREAD, ids=[f"{n}-{d}" for n, d in _UNREAD]
+    )
+    def test_unread_parameter_is_refused_before_the_run(
+        self, name, dest, how, tmp_path, monkeypatch
+    ):
+        def must_not_run(cfg):
+            raise AssertionError(f"{name} ran with the unread {dest}")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        value = FULL if dest == "mode" else 1
+        out = tmp_path / "r.csv"
+        args = [name, "--seed", "7", "--out", str(out)]
+        if how == "flag":
+            args.append(f"{_flag(dest)}={value}")
+        else:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps({dest: value}))
+            args += ["--config", str(config)]
+        code, err = _run_main(args, budget_s=_REFUSAL_BUDGET_S)
+        assert code == 2, (args, err)
+        assert (_flag(dest) if how == "flag" else repr(dest)) in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", GOLDEN, ids=map(_case_id, GOLDEN))
+    def test_golden_config_from_the_cli(self, case, tmp_path):
+        # mode has no flag, so the chord cases get theirs from DEFAULTS
+        name, params = case[0], case[1]
+        out = str(tmp_path / "r.csv")
+        argv = [name, "--seed", "7", "--out", out]
+        argv += [f"{_flag(dest)}={v}" for dest, v in _cli_params(params).items()]
+        assert config_from_args(build_parser().parse_args(argv)) == (
+            ExperimentConfig(experiment=name, seed=7, out=out, **params)
+        )
