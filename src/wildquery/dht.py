@@ -42,6 +42,7 @@ ENTRY_BOUND = "entry-bound"
 
 MAX_RING_BITS = 24
 MAX_LOOKUPS = 1 << 12  # expansions one wildcard query may look up
+_BINARY = frozenset((None, 0, 1))  # QueryPattern letters are ints, never bools
 
 
 class LookupOutcome(NamedTuple):
@@ -58,6 +59,10 @@ class LookupOutcome(NamedTuple):
     hops: int
     path: tuple[int, ...]
     error_case: bool
+
+
+# builds a LookupOutcome from a 5-tuple in C, with no __new__ frame
+_outcome = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -199,7 +204,8 @@ class ChordNetwork:
         the distance by a bit, the lookup answers absent at once (the
         error case). Each accepted hop therefore strictly shortens the bit
         length of a distance below 2**m, so a lookup takes at most m hops
-        and needs no hop cap.
+        and needs no hop cap. A lookup that starts at the owner or at its
+        predecessor takes 0 hops and returns before any routing.
 
         One bisect finds the nearest table node. Let `dist` be the
         clockwise distance from the current node a to the owner, and
@@ -210,37 +216,57 @@ class ChordNetwork:
         off_u <= dist, and there is none when every offset exceeds
         `dist`. Distinct nodes have distinct offsets, so nothing ties.
         """
+        n = self.n
+        if not (
+            type(d) is int and 0 <= d < self.size
+            and type(start) is int and 0 <= start < n
+        ):
+            d, start = self._check_lookup(d, start)
+
+        keys = self.node_keys
+        t = bisect_left(keys, d)
+        if t == n:
+            t = 0
+        # a Counter entry is never 0, so membership is the ground truth
+        truth = d in self._stored
+        # the owner is start itself or its clockwise neighbor
+        if start == t or start + 1 == t or start - t == n - 1:
+            return _outcome(LookupOutcome, (truth, True, 0, (start,), False))
+
+        addrs = self._table_addrs
+        offs = self._table_offs
+        mask = self.size - 1
+        tkey = keys[t]
+        a = start
+        path = [a]
+        while True:
+            dist = (tkey - keys[a]) & mask
+            a_offs = offs[a]
+            j = bisect_right(a_offs, dist)
+            if not j or (dist - a_offs[j - 1]).bit_length() >= dist.bit_length():
+                # no table node improves a bit of the distance: answer absent
+                return _outcome(
+                    LookupOutcome,
+                    (False, not truth, len(path) - 1, tuple(path), True),
+                )
+            a = addrs[a][j - 1]
+            path.append(a)
+            if a == t or a + 1 == t or a - t == n - 1:
+                return _outcome(
+                    LookupOutcome, (truth, True, len(path) - 1, tuple(path), False)
+                )
+
+    def _check_lookup(self, d, start) -> tuple[int, int]:
+        """Refuse a bad `lookup` argument by name; pass int subclasses on as ints."""
+        if not isinstance(d, int):
+            raise TypeError(f"data key must be an int, got {d!r}")
+        if not isinstance(start, int):
+            raise TypeError(f"start node must be an int, got {start!r}")
         if not 0 <= d < self.size:
             raise ValueError(f"data key {d} outside the ring")
         if not 0 <= start < self.n:
             raise ValueError(f"bad start node {start!r}")
-
-        keys = self.node_keys
-        addrs = self._table_addrs
-        offs = self._table_offs
-        mask = self.size - 1
-        n = self.n
-
-        a = start
-        t = bisect_left(keys, d) % n
-        tkey = keys[t]
-        path = [a]
-        error = False
-        while a != t and (a + 1) % n != t:
-            dist = (tkey - keys[a]) & mask
-            j = bisect_right(offs[a], dist) - 1
-            if j < 0 or (dist - offs[a][j]).bit_length() >= dist.bit_length():
-                error = True  # no table node improves a bit of the distance
-                break
-            a = addrs[a][j]
-            path.append(a)
-
-        # a Counter entry is never 0, so membership is the ground truth
-        truth = d in self._stored
-        found = truth and not error
-        return LookupOutcome(
-            found, found == truth, len(path) - 1, tuple(path), error
-        )
+        return int(d), int(start)
 
     def wildcard_query(self, pattern: QueryPattern, start: int) -> RingQueryResult:
         """Resolve every expansion of a binary pattern over the ring.
@@ -252,24 +278,26 @@ class ChordNetwork:
             raise PatternShapeError(
                 f"pattern length {pattern.m} does not match ring bits {self.m}"
             )
-        for s in pattern.symbols:
-            if s is not None and s > 1:
-                raise PatternShapeError("ring patterns are binary")
+        if not _BINARY.issuperset(pattern.symbols):
+            raise PatternShapeError("ring patterns are binary")
         if 2**pattern.wildcard_count > MAX_LOOKUPS:
             raise SizeLimitError(
                 f"{2 ** pattern.wildcard_count} lookups exceed {MAX_LOOKUPS}"
             )
+        lookup = self.lookup
         peer = start
         hops = []
+        append = hops.append
         resolved = True
-        matches = set()
+        matches = []
         for d in pattern.expansions(2):
-            outcome = self.lookup(d, peer)
-            hops.append(outcome.hops)
-            resolved = resolved and not outcome.error_case
-            if outcome.found:
-                matches.add(d)
-            peer = outcome.path[-1]
+            found, _, h, path, error = lookup(d, peer)
+            append(h)
+            if error:
+                resolved = False
+            if found:
+                matches.append(d)
+            peer = path[-1]
         return RingQueryResult(
             matches=frozenset(matches),
             per_key_hops=tuple(hops),

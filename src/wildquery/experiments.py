@@ -117,6 +117,15 @@ def _rng(seed, *labels) -> random.Random:
     return random.Random("|".join([str(seed), *map(str, labels)]))
 
 
+def _trial_rng(seed) -> tuple[random.Random, str]:
+    """One generator for a runner's trials and their seed prefix.
+
+    `rng.seed(label + str(i))` gives the state of `_rng(seed, "trial", i)`
+    without building a new generator per trial.
+    """
+    return random.Random(0), str(seed) + "|trial|"
+
+
 def _frac(value: Fraction) -> dict:
     return {
         "num": value.numerator,
@@ -263,14 +272,15 @@ def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
     trie_block = -1
     rows: list[Row] = []
     add = _row_adder(cfg, rows, m=m, w=w, k=k)
+    rng, label = _trial_rng(cfg.seed)
     for trial in range(trials):
         block = trial * trie_count // trials
         if block != trie_block:
             trie = random_trie(k, m, population, f"{cfg.seed}|trie|{block}")
             trie_block = block
-        rng = _rng(cfg.seed, "trial", trial)
+        rng.seed(label + str(trial))
         pattern = random_pattern(m, w, k, rng)
-        positions = pattern.wildcard_positions()
+        positions = pattern.configuration
         bound = config_step_bound(m, w, positions, k)
         steps = backtracking_query(trie, pattern).steps
         if steps > bound:
@@ -494,10 +504,13 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
     rows: list[Row] = []
     add = _row_adder(cfg, rows, m=m, w=w, n=n)
     sharp_keys = 0
+    # expansion c > 0 flips the wildcard of this rank from its predecessor
+    flips = [(c, ((c - 1) ^ c).bit_length() - 1) for c in range(1, 1 << w)]
+    rng, label = _trial_rng(cfg.seed)
     for trial in range(trials):
-        rng = _rng(cfg.seed, "trial", trial)
+        rng.seed(label + str(trial))
         pattern = random_pattern(m, w, 2, rng)
-        positions = pattern.wildcard_positions()
+        positions = pattern.configuration
         start = rng.randrange(n)
         res = net.wildcard_query(pattern, start)
         bound = config_step_bound(m, w, positions, 2)
@@ -509,9 +522,9 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
             )
         add(_config_label(positions), res.total_hops, bound)
         # how often the idealized one-hop-per-bit accounting held exactly
-        for c in range(1, 1 << w):
-            flip = positions[(((c - 1) ^ c).bit_length()) - 1]
-            sharp_keys += res.per_key_hops[c] <= flip
+        hops = res.per_key_hops
+        for c, rank in flips:
+            sharp_keys += hops[c] <= positions[rank]
 
     mean = sum(row.measured for row in rows) / trials
     later_keys = trials * ((1 << w) - 1)  # every key after each query's first

@@ -25,6 +25,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PatternShapeError, SizeLimitError
 from .trie import Trie
@@ -119,12 +120,18 @@ class QueryPattern:
 
     @property
     def wildcard_count(self) -> int:
-        return sum(1 for s in self.symbols if s is None)
+        return self.symbols.count(None)
+
+    @cached_property
+    def configuration(self) -> Configuration:
+        """`wildcard_positions()`, computed once per pattern."""
+        return self.wildcard_positions()
 
     def wildcard_positions(self) -> Configuration:
         """Positions of the wildcards, ascending (least significant first)."""
-        m = self.m
-        return tuple(sorted(m - i for i, s in enumerate(self.symbols) if s is None))
+        symbols = self.symbols
+        m = len(symbols)
+        return tuple(m - i for i in range(m - 1, -1, -1) if symbols[i] is None)
 
     def expansions(self, k: int):
         """Return an iterator over the k**w concrete keys in search order.
@@ -132,21 +139,22 @@ class QueryPattern:
         The order counts the wildcard letters like a base-k number whose
         least significant digit is the least significant wildcard, which is
         exactly the order the backtracking search decides memberships in.
-        The keys are built by list doubling, most significant wildcard
-        first: each key so far is followed by its k extensions in turn.
+        The keys are built by list doubling, least significant wildcard
+        first: the keys so far are followed by a copy of them for each
+        further letter of the next wildcard.
         """
-        m = len(self.symbols)
         base = 0
-        weights = []  # place value of each wildcard, most significant first
-        for i, s in enumerate(self.symbols):
-            place = k ** (m - 1 - i)
+        place = 1
+        weights = []  # place value of each wildcard, least significant first
+        for s in reversed(self.symbols):
             if s is None:
                 weights.append(place)
             else:
                 base += s * place
+            place *= k
         keys = [base]
         for wgt in weights:
-            keys = [x + a * wgt for x in keys for a in range(k)]
+            keys += [x + a * wgt for a in range(1, k) for x in keys]
         return iter(keys)
 
 
@@ -281,10 +289,44 @@ def brute_force_query(trie: Trie, pattern: QueryPattern) -> set[int]:
 
 
 def sample_configuration(m: int, w: int, rng: random.Random) -> Configuration:
-    """Uniformly random w-subset of positions 1..m, drawn from `rng`."""
+    """Uniformly random w-subset of positions 1..m, drawn from `rng`.
+
+    The draws are a contract: the result and the bits taken from `rng`
+    are those of `tuple(sorted(rng.sample(range(1, m + 1), w)))`. The
+    function inlines the rule CPython's `sample` follows, with
+    `randbelow(x)` redrawing `getrandbits(x.bit_length())` until the
+    result is below x. When m is at most `setsize`, the pick number i
+    takes the index randbelow(m - i) into a pool whose last unpicked
+    entry then fills the hole; otherwise each pick redraws randbelow(m)
+    until it hits an unpicked index. The oracle tests in
+    tests/test_wildcard.py replay `rng.sample` and pin both branches.
+    """
     if not 0 <= w <= m:
         raise ValueError(f"need 0 <= w <= m, got w={w}, m={m}")
-    return tuple(sorted(rng.sample(range(1, m + 1), w)))
+    getrandbits = rng.getrandbits
+    setsize = 21  # sample's own size rule, float log included
+    if w > 5:
+        setsize += 4 ** math.ceil(math.log(w * 3, 4))
+    if m <= setsize:
+        pool = list(range(1, m + 1))
+        picked = []
+        for x in range(m, m - w, -1):
+            bits = x.bit_length()
+            j = getrandbits(bits)
+            while j >= x:
+                j = getrandbits(bits)
+            picked.append(pool[j])
+            pool[j] = pool[x - 1]
+        picked.sort()
+        return tuple(picked)
+    bits = m.bit_length()
+    taken: set[int] = set()
+    for _ in range(w):
+        j = getrandbits(bits)
+        while j >= m or j in taken:
+            j = getrandbits(bits)
+        taken.add(j)
+    return tuple(sorted(j + 1 for j in taken))
 
 
 def enumerate_configurations(m: int, w: int) -> list[Configuration]:
@@ -300,7 +342,28 @@ def enumerate_configurations(m: int, w: int) -> list[Configuration]:
 
 
 def random_pattern(m: int, w: int, k: int, rng: random.Random) -> QueryPattern:
-    """Random configuration plus uniform random fixed letters."""
+    """Random configuration plus uniform random fixed letters.
+
+    The draws are a contract: `sample_configuration(m, w, rng)`, then one
+    `rng.randrange(k)` per fixed letter, left to right. The letters inline
+    `randrange`'s rule, redrawing `getrandbits(k.bit_length())` until the
+    result is below k. The pattern's `configuration` holds the drawn
+    positions, so callers need not scan for them.
+    """
+    if type(k) is not int or k < 1:
+        raise ValueError(f"need an int k >= 1, got {k!r}")
     positions = sample_configuration(m, w, rng)
-    letters = [rng.randrange(k) for _ in range(m - w)]
-    return QueryPattern.from_configuration(m, positions, letters)
+    getrandbits = rng.getrandbits
+    bits = k.bit_length()
+    letters: list[int | None] = []
+    for _ in range(m - w):
+        r = getrandbits(bits)
+        while r >= k:
+            r = getrandbits(bits)
+        letters.append(r)
+    # a wildcard at position z sits at index m - z
+    for z in reversed(positions):
+        letters.insert(m - z, None)
+    pattern = QueryPattern(tuple(letters))
+    pattern.__dict__["configuration"] = positions
+    return pattern

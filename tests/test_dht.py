@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 
 import pytest
@@ -9,10 +12,15 @@ from wildquery.dht import (
     FULL,
     MAX_RING_BITS,
     ChordNetwork,
+    LookupOutcome,
     build_network,
 )
 from wildquery.errors import PatternShapeError, SizeLimitError
-from wildquery.wildcard import QueryPattern, sample_configuration
+from wildquery.wildcard import (
+    QueryPattern,
+    enumerate_configurations,
+    sample_configuration,
+)
 
 
 def randrange_fill(net, count, seed):
@@ -38,6 +46,66 @@ def below_by_redraw(getrandbits, x):
     while r >= x:
         r = getrandbits(bits)
     return r
+
+
+def sample_by_rule(getrandbits, n, k):
+    """CPython 3.11's Random.sample(range(n), k), written out: the pool
+    branch when n <= setsize, else redraws until an unpicked index."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(range(n))
+        for i in range(k):
+            j = below_by_redraw(getrandbits, n - i)
+            result.append(pool[j])
+            pool[j] = pool[n - i - 1]
+        return result
+    selected = set()
+    for _ in range(k):
+        j = below_by_redraw(getrandbits, n)
+        while j in selected:
+            j = below_by_redraw(getrandbits, n)
+        selected.add(j)
+        result.append(j)
+    return result
+
+
+def reference_lookup(self, d, start):
+    """`ChordNetwork.lookup` as it stood before its 0-hop exit and inline
+    outcome, kept verbatim (with the network as `self`) as its oracle."""
+    if not 0 <= d < self.size:
+        raise ValueError(f"data key {d} outside the ring")
+    if not 0 <= start < self.n:
+        raise ValueError(f"bad start node {start!r}")
+
+    keys = self.node_keys
+    addrs = self._table_addrs
+    offs = self._table_offs
+    mask = self.size - 1
+    n = self.n
+
+    a = start
+    t = bisect_left(keys, d) % n
+    tkey = keys[t]
+    path = [a]
+    error = False
+    while a != t and (a + 1) % n != t:
+        dist = (tkey - keys[a]) & mask
+        j = bisect_right(offs[a], dist) - 1
+        if j < 0 or (dist - offs[a][j]).bit_length() >= dist.bit_length():
+            error = True  # no table node improves a bit of the distance
+            break
+        a = addrs[a][j]
+        path.append(a)
+
+    # a Counter entry is never 0, so membership is the ground truth
+    truth = d in self._stored
+    found = truth and not error
+    return LookupOutcome(
+        found, found == truth, len(path) - 1, tuple(path), error
+    )
 
 
 class TestConstruction:
@@ -204,6 +272,32 @@ def test_cpython_randrange_still_redraws_getrandbits_below_bound():
         assert ref.getstate() == rule.getstate()
 
 
+
+def test_cpython_sample_still_picks_pool_or_set_by_setsize():
+    # sample_configuration (and so random_pattern) inlines CPython's
+    # Random.sample: the pool branch with its swap-from-the-end when
+    # n <= setsize, else redraws of randbelow(n) until an unpicked index.
+    # If this fails, a new Python changed that rule, and the draw, every
+    # trie-random, position-law and chord-wildcard digest must follow it.
+    branches = set()
+    for seed in (0, 7, "2|trial|5"):
+        ref, rule = random.Random(seed), random.Random(seed)
+        for n in range(0, 100):
+            for k in range(0, min(n, 40) + 1):
+                got = ref.sample(range(n), k)
+                want = sample_by_rule(rule.getrandbits, n, k)
+                assert got == want, (
+                    f"Random.sample(range({n}), {k}) left CPython 3.11's "
+                    "pool/set rule that sample_configuration inlines"
+                )
+                setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+                branches.add(n <= setsize)
+        assert ref.getstate() == rule.getstate(), (
+            "Random.sample consumed other bits than the pool/set rule"
+        )
+    assert branches == {True, False}
+
+
 class TestLookup:
     def test_own_key_zero_hops(self):
         net = build_network(32, 8, seed=9)
@@ -341,6 +435,51 @@ class TestLookup:
         with pytest.raises(ValueError):
             net.lookup(5, 99)
 
+    def test_non_int_arguments_are_refused_by_name(self):
+        # a float start once ended in the path or leaked an index error,
+        # and a float key was answered as if it were a key
+        net = build_network(8, 6, seed=1)
+        for d, start, name in [
+            (13, 2.0, "start node"), (17, 0.5, "start node"),
+            (1.5, 0, "data key"), ("13", 0, "data key"),
+            (None, 0, "data key"), (13, "0", "start node"),
+        ]:
+            with pytest.raises(TypeError, match=name):
+                net.lookup(d, start)
+        # an int subclass is an int, and the outcome carries plain ints
+        out = net.lookup(True, True)
+        assert out == net.lookup(1, 1)
+        assert all(type(a) is int for a in out.path)
+
+    @pytest.mark.parametrize("mode", [FULL, ENTRY_BOUND])
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_equals_reference_lookup(self, n, mode):
+        # every (d, start) pair on rings with no entries, 3n and m*n, so
+        # stored and unstored keys, 0-hop exits, routed lookups and, on
+        # entry-bound rings, stalls all meet the oracle field by field
+        m = 7
+        net = build_network(n, m, seed=n, finger_mode=mode)
+        kinds = Counter()
+        for count in (0, 3 * n, m * n):
+            net.distribute_entries(count, seed=count)
+            for d in range(net.size):
+                for start in range(n):
+                    out = net.lookup(d, start)
+                    want = reference_lookup(net, d, start)
+                    assert type(out) is LookupOutcome
+                    assert out._asdict() == want._asdict(), (d, start, count)
+                    kinds[out.hops > 0, out.found, out.error_case] += 1
+        assert kinds[False, True, False] and kinds[False, False, False]
+        if n == 64:
+            assert kinds[True, True, False] and kinds[True, False, False]
+            if mode == ENTRY_BOUND:
+                assert sum(v for (_, _, err), v in kinds.items() if err)
+        for d, start in [(-1, 0), (net.size, 0), (0, -1), (0, n)]:
+            with pytest.raises(ValueError):
+                reference_lookup(net, d, start)
+            with pytest.raises(ValueError):
+                net.lookup(d, start)
+
 
 class TestWildcardQuery:
     def test_no_wildcards_single_lookup(self):
@@ -426,6 +565,47 @@ class TestWildcardQuery:
         res = net.wildcard_query(pattern, 0)
         assert res.per_key_hops == tuple(hops)
         assert res.matches == matches
+
+    @pytest.mark.parametrize("mode", [FULL, ENTRY_BOUND])
+    def test_equals_chained_reference_lookups(self, mode):
+        # every m=6 pattern with at most 3 wildcards, its keys in counting
+        # order from itertools.product, each looked up by the oracle from
+        # where the previous one ended
+        m, n = 6, 16
+        net = build_network(n, m, seed=4, finger_mode=mode)
+        net.distribute_entries(2 * n, seed=5)
+        unresolved = 0
+        for w in range(4):
+            for positions in enumerate_configurations(m, w):
+                weights = [1 << (z - 1) for z in reversed(positions)]
+                for letters in itertools.product((0, 1), repeat=m - w):
+                    pattern = QueryPattern.from_configuration(m, positions, letters)
+                    base = sum(
+                        s << (m - 1 - i)
+                        for i, s in enumerate(pattern.symbols)
+                        if s is not None
+                    )
+                    keys = [
+                        base + sum(a * wgt for a, wgt in zip(combo, weights))
+                        for combo in itertools.product((0, 1), repeat=w)
+                    ]
+                    for start in range(0, n, 5):
+                        peer, hops, matches, resolved = start, [], set(), True
+                        for d in keys:
+                            out = reference_lookup(net, d, peer)
+                            hops.append(out.hops)
+                            resolved = resolved and not out.error_case
+                            if out.found:
+                                matches.add(d)
+                            peer = out.path[-1]
+                        res = net.wildcard_query(pattern, start)
+                        assert res.per_key_hops == tuple(hops)
+                        assert res.total_hops == sum(hops)
+                        assert res.matches == matches
+                        assert res.resolved == resolved
+                        unresolved += not resolved
+        if mode == ENTRY_BOUND:
+            assert unresolved
 
     def test_rejects_non_binary_or_misshaped_patterns(self):
         net = build_network(8, 6, seed=20)

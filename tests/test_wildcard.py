@@ -135,6 +135,19 @@ def steps_by_levels(trie: Trie, pattern: QueryPattern) -> int:
     return 2 * nodes - reached
 
 
+def sample_oracle(m: int, w: int, rng: random.Random):
+    """`sample_configuration` before it inlined `Random.sample`."""
+    return tuple(sorted(rng.sample(range(1, m + 1), w)))
+
+
+def random_pattern_oracle(m: int, w: int, k: int, rng: random.Random):
+    """`random_pattern` before it inlined its draws: the sample, then one
+    `randrange(k)` per fixed letter, through `from_configuration`."""
+    positions = sample_oracle(m, w, rng)
+    letters = [rng.randrange(k) for _ in range(m - w)]
+    return QueryPattern.from_configuration(m, positions, letters)
+
+
 class TestPattern:
     def test_parse_and_positions(self):
         pattern = QueryPattern.from_string("1*0*0")
@@ -230,6 +243,21 @@ class TestConfigurations:
         with pytest.raises(ValueError):
             sample_configuration(3, 4, random.Random(0))
 
+    def test_sample_makes_the_rng_sample_draws(self):
+        # every 0 <= w <= m <= 64, which takes sample's pool branch (m at
+        # most setsize) and its set branch (w <= 5 and m > 21); the same
+        # positions, and the same bits left in the generator
+        pool = 0
+        for m in range(65):
+            for w in range(m + 1):
+                setsize = 21 + (4 ** math.ceil(math.log(w * 3, 4)) if w > 5 else 0)
+                pool += m <= setsize
+                for seed in (m * 65 + w, f"{m}|{w}"):
+                    ref, fast = random.Random(seed), random.Random(seed)
+                    assert sample_configuration(m, w, fast) == sample_oracle(m, w, ref)
+                    assert fast.getstate() == ref.getstate(), (m, w)
+        assert 0 < pool < 65 * 66 // 2
+
     def test_sample_uniform_over_configurations(self):
         # m=5, w=2: each of the 10 subsets should appear ~1/10 of the time
         rng = random.Random(2024)
@@ -243,6 +271,34 @@ class TestConfigurations:
         sigma = math.sqrt(p * (1 - p) / draws)
         for positions, count in counts.items():
             assert abs(count / draws - p) <= 3 * sigma, positions
+
+
+
+class TestRandomPattern:
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_makes_the_sample_and_randrange_draws(self, k):
+        # 2,000 seeds per shape: pool and set branches of the sample, no
+        # wildcards, no fixed letters, and the two perfbench trie and ring
+        # shapes; the same pattern, and the same bits left in the generator
+        shapes = [(1, 0), (1, 1), (6, 6), (12, 4), (16, 4), (20, 5),
+                  (30, 3), (64, 10)]
+        for m, w in shapes:
+            for seed in range(2000):
+                ref, fast = random.Random(seed), random.Random(seed)
+                pattern = random_pattern(m, w, k, fast)
+                assert pattern == random_pattern_oracle(m, w, k, ref), (m, w, seed)
+                assert fast.getstate() == ref.getstate(), (m, w, seed)
+                assert pattern.configuration == pattern.wildcard_positions()
+
+    def test_configuration_without_a_draw_is_scanned(self):
+        pattern = QueryPattern.from_string("*10*1*")
+        assert pattern.configuration == pattern.wildcard_positions() == (1, 3, 6)
+
+    @pytest.mark.parametrize("k", [0, -2, 2.0, True])
+    def test_rejects_an_alphabet_it_cannot_draw_from(self, k):
+        # the inlined redraw loop would never end on k = 0
+        with pytest.raises(ValueError):
+            random_pattern(4, 1, k, random.Random(0))
 
 
 class TestBacktrackingQuery:
