@@ -20,9 +20,13 @@ Finger tables come in two modes. "full" grants every node all m fingers
 grants finger i only to nodes holding at least i entries, which ties
 routing power to the entry distribution.
 
-Everything is seeded and single-threaded; a built network is read-only
-during measurement, so concurrent lookups against a frozen network are
-safe. Redistributing entries requires exclusive access.
+Everything is seeded and single-threaded. A built network's tables and
+entries are read-only during measurement. The one thing a lookup writes
+is a memo of the routes to the owner it last routed to: the memo
+attribute is replaced whole by a new (owner, routes) tuple, and its dict
+only gains routes, each the deterministic route for its (owner, start).
+So concurrent lookups against a frozen network still get the outcomes
+a lone lookup would. Redistributing entries requires exclusive access.
 """
 
 from __future__ import annotations
@@ -63,6 +67,8 @@ class LookupOutcome(NamedTuple):
 
 # builds a LookupOutcome from a 5-tuple in C, with no __new__ frame
 _outcome = tuple.__new__
+# route memo of a network whose tables just changed: no owner, no routes
+_NO_ROUTES = (-1, None)
 
 
 @dataclass(frozen=True)
@@ -139,6 +145,8 @@ class ChordNetwork:
         offs = sorted(by_off)
         self._table_offs[addr] = offs
         self._table_addrs[addr] = [by_off[off] for off in offs]
+        # the only writer of the tables, so no memoized route outlives them
+        self._route_memo = _NO_ROUTES
 
     # -- entries -----------------------------------------------------------
 
@@ -207,6 +215,17 @@ class ChordNetwork:
         and needs no hop cap. A lookup that starts at the owner or at its
         predecessor takes 0 hops and returns before any routing.
 
+        A routed lookup reuses the route of an earlier one to the same
+        owner from the same start. The network keeps the routes of the
+        last owner it routed to, as one `(owner, routes)` tuple: routes
+        maps a start to `(hops, path, error_case)`, and is made on the
+        second consecutive routed lookup to that owner, so traffic whose
+        owner changes every lookup builds no dict. A route depends only
+        on the tables, which `_build_table` alone writes and which reset
+        the memo there; `found` and `correct` are recomputed from this
+        call's entries. Every call therefore returns the outcome routing
+        would, and concurrent readers only ever add the same routes.
+
         One bisect finds the nearest table node. Let `dist` be the
         clockwise distance from the current node a to the owner, and
         off_u the clockwise offset of candidate u from a. When
@@ -233,6 +252,23 @@ class ChordNetwork:
         if start == t or start + 1 == t or start - t == n - 1:
             return _outcome(LookupOutcome, (truth, True, 0, (start,), False))
 
+        owner, routes = self._route_memo
+        if owner != t:
+            routes = None
+            self._route_memo = (t, None)
+        elif routes is None:
+            routes = {}
+            self._route_memo = (t, routes)
+        else:
+            route = routes.get(start)
+            if route is not None:
+                hops, path, error = route
+                if error:
+                    return _outcome(
+                        LookupOutcome, (False, not truth, hops, path, True)
+                    )
+                return _outcome(LookupOutcome, (truth, True, hops, path, False))
+
         addrs = self._table_addrs
         offs = self._table_offs
         mask = self.size - 1
@@ -245,16 +281,17 @@ class ChordNetwork:
             j = bisect_right(a_offs, dist)
             if not j or (dist - a_offs[j - 1]).bit_length() >= dist.bit_length():
                 # no table node improves a bit of the distance: answer absent
-                return _outcome(
-                    LookupOutcome,
-                    (False, not truth, len(path) - 1, tuple(path), True),
-                )
+                hops, path = len(path) - 1, tuple(path)
+                if routes is not None:
+                    routes[start] = (hops, path, True)
+                return _outcome(LookupOutcome, (False, not truth, hops, path, True))
             a = addrs[a][j - 1]
             path.append(a)
             if a == t or a + 1 == t or a - t == n - 1:
-                return _outcome(
-                    LookupOutcome, (truth, True, len(path) - 1, tuple(path), False)
-                )
+                hops, path = len(path) - 1, tuple(path)
+                if routes is not None:
+                    routes[start] = (hops, path, False)
+                return _outcome(LookupOutcome, (truth, True, hops, path, False))
 
     def _check_lookup(self, d, start) -> tuple[int, int]:
         """Refuse a bad `lookup` argument by name; pass int subclasses on as ints."""

@@ -408,6 +408,16 @@ def _halving_ok(net, d: int, path) -> bool:
     return True
 
 
+def _sampled_lookups(seed, trials: int, size: int, n: int):
+    """chord-single's sampled (target, starts, label), one per trial."""
+    rng, label = _trial_rng(seed)
+    for trial in range(trials):
+        rng.seed(label + str(trial))
+        d = rng.randrange(size)
+        start = rng.randrange(n)
+        yield d, (start,), f"d={d}/start={start}"
+
+
 def run_chord_single(cfg: ExperimentConfig) -> ExperimentReport:
     """Single-key lookups on a full-finger ring.
 
@@ -433,37 +443,34 @@ def run_chord_single(cfg: ExperimentConfig) -> ExperimentReport:
     net = build_network(n, m, f"{cfg.seed}|net", FULL)
     net.distribute_entries(cfg.entries_factor * m * n, f"{cfg.seed}|entries")
 
+    if trials == 0:
+        # one row per target: its worst hop count over every start
+        groups = ((d, range(n), f"d={d}") for d in range(net.size))
+    else:
+        groups = _sampled_lookups(cfg.seed, trials, net.size, n)
+
     rows: list[Row] = []
     add = _row_adder(cfg, rows, m=m, n=n)
     hop_total = 0
-
-    def check(d: int, start: int):
-        nonlocal hop_total
-        out = net.lookup(d, start)
-        hop_total += out.hops
-        if not out.correct or out.error_case:
-            raise ExperimentFailure(f"incorrect lookup d={d} start={start}")
-        if out.hops > m:
-            raise ExperimentFailure(
-                f"{out.hops} hops > m={m} for d={d} start={start}"
-            )
-        if not _halving_ok(net, d, out.path):
-            raise ExperimentFailure(
-                f"halving violated on path {out.path} for d={d}"
-            )
-        return out
-
-    if trials == 0:
-        for d in range(net.size):
-            worst = max(check(d, start).hops for start in range(n))
-            add(f"d={d}", worst, m)
-    else:
-        for trial in range(trials):
-            rng = _rng(cfg.seed, "trial", trial)
-            d = rng.randrange(net.size)
-            start = rng.randrange(n)
-            out = check(d, start)
-            add(f"d={d}/start={start}", out.hops, m)
+    lookup = net.lookup
+    for d, starts, label in groups:
+        worst = 0
+        for start in starts:
+            _, correct, hops, path, error = lookup(d, start)
+            hop_total += hops
+            if not correct or error:
+                raise ExperimentFailure(f"incorrect lookup d={d} start={start}")
+            if hops > m:
+                raise ExperimentFailure(
+                    f"{hops} hops > m={m} for d={d} start={start}"
+                )
+            if not _halving_ok(net, d, path):
+                raise ExperimentFailure(
+                    f"halving violated on path {path} for d={d}"
+                )
+            if hops > worst:
+                worst = hops
+        add(label, worst, m)
 
     lookups = net.size * n if trials == 0 else trials
     return _report(cfg, rows, {

@@ -83,6 +83,34 @@ def test_runners_call_traced_names_through_module_globals(monkeypatch):
         assert dict(calls) == TRACED_CALLS[name], name
 
 
+# ChordNetwork.lookup calls of each ring runner at its last golden config;
+# the traced dht.lookups and dht.hops_total pins count every one, so a
+# runner may make a lookup faster but may not skip it
+LOOKUP_CALLS = {"chord-single": 4096, "chord-wildcard": 480, "chord-decay": 3000}
+
+
+def test_ring_runners_make_every_lookup(monkeypatch):
+    calls = Counter()
+    lookup = ChordNetwork.lookup
+
+    def counted(self, d, start):
+        calls[d, start] += 1
+        return lookup(self, d, start)
+
+    monkeypatch.setattr(ChordNetwork, "lookup", counted)
+    smallest = {name: params for name, params, *_ in GOLDEN}
+    for name, expected in LOOKUP_CALLS.items():
+        calls.clear()
+        experiments.run_experiment(
+            experiments.ExperimentConfig(experiment=name, seed=7, **smallest[name])
+        )
+        assert calls.total() == expected, name
+        if name == "chord-single":
+            # the m=8, n=16 sweep looks up each (target, start) pair once,
+            # though each owner's routes recur 2**8 / 16 times on average
+            assert set(calls.values()) == {1}
+
+
 def test_counted_arguments_sit_where_the_tracer_reads_them():
     # on_distribute reads args[1] (args[0] is the network itself) and
     # on_trie reads args[2] of random_trie

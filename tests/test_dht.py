@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 
@@ -456,29 +457,117 @@ class TestLookup:
     def test_equals_reference_lookup(self, n, mode):
         # every (d, start) pair on rings with no entries, 3n and m*n, so
         # stored and unstored keys, 0-hop exits, routed lookups and, on
-        # entry-bound rings, stalls all meet the oracle field by field
+        # entry-bound rings, stalls all meet the oracle field by field;
+        # sweep order (d outer, start inner) lets the route memo serve a
+        # route again, shuffled order mostly routes afresh
         m = 7
-        net = build_network(n, m, seed=n, finger_mode=mode)
-        kinds = Counter()
-        for count in (0, 3 * n, m * n):
-            net.distribute_entries(count, seed=count)
-            for d in range(net.size):
-                for start in range(n):
+        pairs = [(d, start) for d in range(1 << m) for start in range(n)]
+        shuffled = random.Random(n).sample(pairs, len(pairs))
+        for order in (pairs, shuffled):
+            net = build_network(n, m, seed=n, finger_mode=mode)
+            kinds = Counter()
+            paths = {}  # a memo hit hands back the path object it stored
+            reused = 0
+            for count in (0, 3 * n, m * n):
+                net.distribute_entries(count, seed=count)
+                for d, start in order:
                     out = net.lookup(d, start)
                     want = reference_lookup(net, d, start)
                     assert type(out) is LookupOutcome
                     assert out._asdict() == want._asdict(), (d, start, count)
                     kinds[out.hops > 0, out.found, out.error_case] += 1
-        assert kinds[False, True, False] and kinds[False, False, False]
-        if n == 64:
-            assert kinds[True, True, False] and kinds[True, False, False]
-            if mode == ENTRY_BOUND:
-                assert sum(v for (_, _, err), v in kinds.items() if err)
+                    key = net.successor_of(d), start
+                    reused += out.hops > 0 and out.path is paths.get(key)
+                    paths[key] = out.path
+            assert kinds[False, True, False] and kinds[False, False, False]
+            if n == 64:
+                assert kinds[True, True, False] and kinds[True, False, False]
+                if mode == ENTRY_BOUND:
+                    assert sum(v for (_, _, err), v in kinds.items() if err)
+                if order is pairs:
+                    assert reused
         for d, start in [(-1, 0), (net.size, 0), (0, -1), (0, n)]:
             with pytest.raises(ValueError):
                 reference_lookup(net, d, start)
             with pytest.raises(ValueError):
                 net.lookup(d, start)
+
+    def test_refill_resets_the_route_memo(self):
+        # sparse entries grant few fingers and dense ones many, so a refill
+        # changes routes; each target's sweep leaves its owner's routes in
+        # the memo, and the refill must not let the next sweep reuse them
+        n, m = 64, 7
+        net = build_network(n, m, seed=5, finger_mode=ENTRY_BOUND)
+        changed = 0
+        for d in range(0, net.size, 4):
+            net.distribute_entries(n, seed=1)
+            before = [net.lookup(d, start) for start in range(n)]
+            assert net._route_memo[0] == net.successor_of(d)
+            net.distribute_entries(m * n, seed=2)
+            for start in range(n):
+                out = net.lookup(d, start)
+                assert out == reference_lookup(net, d, start), (d, start)
+                changed += out[2:] != before[start][2:]
+        assert changed
+
+    @pytest.mark.parametrize("mode", [FULL, ENTRY_BOUND])
+    def test_route_memo_holds_one_owner(self, mode):
+        n, m = 64, 9
+        net = build_network(n, m, seed=3, finger_mode=mode)
+        net.distribute_entries(3 * n, seed=4)
+        for d in range(net.size):
+            for start in range(n):
+                net.lookup(d, start)
+        last = net.size - 1
+        owner, routes = net._route_memo
+        assert owner == net.successor_of(last)
+        assert 0 < len(routes) <= n
+        for start, route in routes.items():
+            assert route == reference_lookup(net, last, start)[2:]
+        # owners that change on every routed lookup build no dict: these
+        # starts are at least n/4 nodes from the owners 0 and n/2
+        far = net.node_keys[n // 2]
+        for start in range(n // 4):
+            net.lookup(far, start)
+            net.lookup(net.node_keys[0], n // 2 + start)
+            assert net._route_memo[1] is None
+
+    def test_lookups_interleaved_at_every_line_keep_the_memo_exact(self):
+        # a concurrent reader can swap the memo between any two lines of
+        # another's lookup; a trace hook does so deterministically, running
+        # two routed lookups to the opposite owner at every line, and every
+        # outcome and every memoized route must stay the oracle's
+        n, m = 32, 8
+        net = build_network(n, m, seed=6, finger_mode=ENTRY_BOUND)
+        net.distribute_entries(2 * n, seed=7)
+        code = ChordNetwork.lookup.__code__
+        interrupts = []
+
+        def on_line(frame, event, arg):
+            if event == "line":
+                for d, start in interrupts:
+                    net.lookup(d, start)
+            return on_line
+
+        def on_call(frame, event, arg):
+            return on_line if frame.f_code is code else None
+
+        for d in range(0, net.size, 8):
+            other = (d + net.size // 2) % net.size
+            for start in range(n):
+                far = (start + n // 2) % n
+                interrupts[:] = [(other, far), (other, (far + 1) % n)]
+                previous = sys.gettrace()
+                sys.settrace(on_call)
+                try:
+                    out = net.lookup(d, start)
+                finally:
+                    sys.settrace(previous)
+                assert out == reference_lookup(net, d, start), (d, start)
+                owner, routes = net._route_memo
+                for s, route in (routes or {}).items():
+                    want = reference_lookup(net, net.node_keys[owner], s)
+                    assert route == want[2:], (owner, s)
 
 
 class TestWildcardQuery:

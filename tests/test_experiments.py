@@ -17,7 +17,7 @@ from test_golden import GOLDEN, _case_id
 from wildquery import experiments
 from wildquery import cli
 from wildquery.cli import DEFAULTS, build_parser, config_from_args, main
-from wildquery.dht import FULL
+from wildquery.dht import FULL, ChordNetwork
 from wildquery.experiments import (
     CSV_COLUMNS,
     MAX_ENTRIES_FACTOR,
@@ -176,6 +176,52 @@ class TestRunners:
         )
         assert len(report.rows) == 1 << 7
         assert report.aggregates["lookups"] == (1 << 7) * 16
+
+    @pytest.mark.parametrize("trials", [0, 20])
+    @pytest.mark.parametrize(
+        "fault", ["error", "incorrect", "too-many-hops", "no-halving"]
+    )
+    def test_chord_single_refuses_a_bad_lookup(self, trials, fault, monkeypatch):
+        # the sweep (trials=0) and the sampled mode check every outcome and
+        # raise at the first bad one
+        m = 8
+        calls = []
+        lookup = ChordNetwork.lookup
+
+        def faulty(net, d, start):
+            out = lookup(net, d, start)
+            calls.append((d, start, out.path))
+            if fault == "error":
+                return out._replace(found=False, correct=True, error_case=True)
+            if fault == "incorrect":
+                return out._replace(correct=False)
+            if fault == "too-many-hops":
+                return out._replace(hops=m + 1)
+            return out
+
+        monkeypatch.setattr(ChordNetwork, "lookup", faulty)
+        if fault == "no-halving":
+            monkeypatch.setattr(experiments, "_halving_ok", lambda *args: False)
+        with pytest.raises(ExperimentFailure) as caught:
+            run_chord_single(
+                cfg("chord-single", m=m, n=16, trials=trials, mode="full")
+            )
+        [(d, start, path)] = calls
+        assert str(caught.value) == {
+            "error": f"incorrect lookup d={d} start={start}",
+            "incorrect": f"incorrect lookup d={d} start={start}",
+            "too-many-hops": f"{m + 1} hops > m={m} for d={d} start={start}",
+            "no-halving": f"halving violated on path {path} for d={d}",
+        }[fault]
+
+    def test_halving_check_refuses_a_hop_that_does_not_halve(self):
+        # keys 0, 4, 8, 12 on the 16-ring; the owner of d=0 is node 0,
+        # 12 away from node 1 (key 4)
+        net = ChordNetwork(4, [0, 4, 8, 12])
+        assert experiments._halving_ok(net, 0, (1,))
+        assert experiments._halving_ok(net, 0, (1, 3))  # 12 -> 4
+        assert not experiments._halving_ok(net, 0, (1, 2))  # 12 -> 8 > 6
+        assert not experiments._halving_ok(net, 0, (1, 3, 2))  # 4 -> 8
 
     def test_chord_single_requires_full_mode(self):
         with pytest.raises(

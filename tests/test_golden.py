@@ -47,6 +47,12 @@ GOLDEN = [
         "514ef8926bce82b89448f8f86464c4eb992a1d3f7592598455ace6bdfa8a7159",
     ),
     (
+        "chord-single",
+        dict(m=10, n=64, trials=200, entries_factor=1, mode="full"),
+        "022f6d9b10fddbf84ac225f1cafc230907877a3877371ff491c4a4aa3ab882d7",
+        "8e58e371f55546c392747dcd0d60dda303f1c023c9251509fd827fbb3db51434",
+    ),
+    (
         "chord-single", dict(m=8, n=16, trials=0, entries_factor=1, mode="full"),
         "ea3f64f64ceebaa77bdddd7f47ac55c8a7f68a7523d5930439bd09cf78fbf410",
         "c8b95f335784557cbb2fb553f4374ee7a88f397337b1128f429afe208ba3b3fe",
@@ -68,7 +74,11 @@ GOLDEN = [
 
 def _case_id(case):
     name, params = case[0], case[1]
-    return f"{name}-k{params['k']}" if "k" in params else name
+    if "k" in params:
+        return f"{name}-k{params['k']}"
+    if name == "chord-single" and params["trials"]:
+        return f"{name}-sampled"  # beside the sweep, trials=0
+    return name
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=map(_case_id, GOLDEN))
