@@ -218,13 +218,12 @@ class ChordNetwork:
         A routed lookup reuses the route of an earlier one to the same
         owner from the same start. The network keeps the routes of the
         last owner it routed to, as one `(owner, routes)` tuple: routes
-        maps a start to `(hops, path, error_case)`, and is made on the
-        second consecutive routed lookup to that owner, so traffic whose
-        owner changes every lookup builds no dict. A route depends only
-        on the tables, which `_build_table` alone writes and which reset
-        the memo there; `found` and `correct` are recomputed from this
-        call's entries. Every call therefore returns the outcome routing
-        would, and concurrent readers only ever add the same routes.
+        maps a start to `(hops, path, error_case)`, and a routed lookup to
+        another owner swaps in a new tuple with a fresh dict. A route
+        depends only on the tables, which `_build_table` alone writes and
+        which reset the memo there; `found` and `correct` are recomputed
+        from this call's entries. Every call therefore returns the outcome
+        routing would, and concurrent readers only ever add the same routes.
 
         One bisect finds the nearest table node. Let `dist` be the
         clockwise distance from the current node a to the owner, and
@@ -254,9 +253,6 @@ class ChordNetwork:
 
         owner, routes = self._route_memo
         if owner != t:
-            routes = None
-            self._route_memo = (t, None)
-        elif routes is None:
             routes = {}
             self._route_memo = (t, routes)
         else:
@@ -282,15 +278,13 @@ class ChordNetwork:
             if not j or (dist - a_offs[j - 1]).bit_length() >= dist.bit_length():
                 # no table node improves a bit of the distance: answer absent
                 hops, path = len(path) - 1, tuple(path)
-                if routes is not None:
-                    routes[start] = (hops, path, True)
+                routes[start] = (hops, path, True)
                 return _outcome(LookupOutcome, (False, not truth, hops, path, True))
             a = addrs[a][j - 1]
             path.append(a)
             if a == t or a + 1 == t or a - t == n - 1:
                 hops, path = len(path) - 1, tuple(path)
-                if routes is not None:
-                    routes[start] = (hops, path, False)
+                routes[start] = (hops, path, False)
                 return _outcome(LookupOutcome, (truth, True, hops, path, False))
 
     def _check_lookup(self, d, start) -> tuple[int, int]:

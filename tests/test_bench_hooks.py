@@ -42,7 +42,7 @@ def test_traced_names_exist():
 
 
 # calls each runner makes through the names the tracer rebinds, at the
-# last golden config of each experiment, which is its smallest
+# last golden config of each experiment
 TRACED_CALLS = {
     "trie-exact": {
         "backtracking_query": 10, "config_step_bound": 10, "mean_step_bound": 1,
@@ -73,9 +73,9 @@ def test_runners_call_traced_names_through_module_globals(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(experiments, attr, counted)
-    smallest = {name: params for name, params, *_ in GOLDEN}
-    assert set(smallest) == set(experiments.RUNNERS) == set(TRACED_CALLS)
-    for name, params in smallest.items():
+    last = {name: params for name, params, *_ in GOLDEN}
+    assert set(last) == set(experiments.RUNNERS) == set(TRACED_CALLS)
+    for name, params in last.items():
         calls.clear()
         experiments.run_experiment(
             experiments.ExperimentConfig(experiment=name, seed=7, **params)
@@ -98,11 +98,11 @@ def test_ring_runners_make_every_lookup(monkeypatch):
         return lookup(self, d, start)
 
     monkeypatch.setattr(ChordNetwork, "lookup", counted)
-    smallest = {name: params for name, params, *_ in GOLDEN}
+    last = {name: params for name, params, *_ in GOLDEN}
     for name, expected in LOOKUP_CALLS.items():
         calls.clear()
         experiments.run_experiment(
-            experiments.ExperimentConfig(experiment=name, seed=7, **smallest[name])
+            experiments.ExperimentConfig(experiment=name, seed=7, **last[name])
         )
         assert calls.total() == expected, name
         if name == "chord-single":

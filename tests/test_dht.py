@@ -524,13 +524,14 @@ class TestLookup:
         assert 0 < len(routes) <= n
         for start, route in routes.items():
             assert route == reference_lookup(net, last, start)[2:]
-        # owners that change on every routed lookup build no dict: these
-        # starts are at least n/4 nodes from the owners 0 and n/2
-        far = net.node_keys[n // 2]
+        # a routed lookup to another owner drops the last owner's routes:
+        # these starts are at least n/4 nodes from the owners 0 and n/2
+        far, first = net.node_keys[n // 2], net.node_keys[0]
         for start in range(n // 4):
             net.lookup(far, start)
-            net.lookup(net.node_keys[0], n // 2 + start)
-            assert net._route_memo[1] is None
+            net.lookup(first, n // 2 + start)
+            route = reference_lookup(net, first, n // 2 + start)[2:]
+            assert net._route_memo == (0, {n // 2 + start: route})
 
     def test_lookups_interleaved_at_every_line_keep_the_memo_exact(self):
         # a concurrent reader can swap the memo between any two lines of
