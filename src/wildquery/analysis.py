@@ -14,6 +14,17 @@ from math import comb
 from .wildcard import Configuration, validate_configuration
 
 
+def _refuse_non_int(**args) -> None:
+    """Raise TypeError naming the first argument that is not an int.
+
+    A float would turn an exact bound into an inexact one, and a bool is
+    not a size.
+    """
+    for name, value in args.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def config_step_bound(m: int, w: int, positions: Configuration, k: int = 2) -> int:
     """Worst-case steps for one wildcard configuration, exact on full tries.
 
@@ -21,6 +32,8 @@ def config_step_bound(m: int, w: int, positions: Configuration, k: int = 2) -> i
     m + sum_j 2 * k**(w-j) * (k-1) * z_j; with k=2 the weight reduces to
     2**(w-j+1).
     """
+    if not (type(m) is int and type(w) is int and type(k) is int):
+        _refuse_non_int(m=m, w=w, k=k)
     positions = tuple(positions)
     if len(positions) != w:
         raise ValueError(f"expected {w} positions, got {positions}")
@@ -51,6 +64,8 @@ def mean_step_bound(m: int, w: int, k: int = 2) -> Fraction:
     (m+1)/(w+1) * (2**(w+2) - 2w - 4) + m. By convention w=0 gives m, a
     plain search.
     """
+    if not (type(m) is int and type(w) is int and type(k) is int):
+        _refuse_non_int(m=m, w=w, k=k)
     if k < 2:
         raise ValueError(f"arity must be >= 2, got {k}")
     if not 0 <= w <= m:
@@ -69,6 +84,8 @@ def mean_step_bound_hypergeometric(m: int, w: int, k: int = 2) -> Fraction:
     evaluated term by term. Agreement with mean_step_bound is the closed
     form identity the bound rests on.
     """
+    if not (type(m) is int and type(w) is int and type(k) is int):
+        _refuse_non_int(m=m, w=w, k=k)
     if k < 2:
         raise ValueError(f"arity must be >= 2, got {k}")
     if not 1 <= w <= m:

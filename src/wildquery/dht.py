@@ -32,9 +32,7 @@ a lone lookup would. Redistributing entries requires exclusive access.
 from __future__ import annotations
 
 import random
-from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -95,24 +93,26 @@ class ChordNetwork:
     """
 
     def __init__(self, m: int, node_keys: list[int], finger_mode: str = FULL):
-        if m < 1 or m > MAX_RING_BITS:
-            raise ValueError(f"need 1 <= m <= {MAX_RING_BITS}, got {m}")
+        _require_ring_bits(m)
         if finger_mode not in (FULL, ENTRY_BOUND):
             raise ValueError(f"unknown finger mode {finger_mode!r}")
         n = len(node_keys)
         if n < 2:
             raise ValueError("need at least 2 nodes")
+        for key in node_keys:
+            if type(key) is not int:
+                raise TypeError(f"node key must be an int, got {key!r}")
+            if not 0 <= key < 1 << m:
+                raise ValueError("node key outside the ring")
         if len(set(node_keys)) != n:
             raise ValueError("node keys must be distinct")
-        if any(not 0 <= k < (1 << m) for k in node_keys):
-            raise ValueError("node key outside the ring")
         self.m = m
         self.size = 1 << m
         self.finger_mode = finger_mode
         self.node_keys = sorted(node_keys)
         self.n = n
         self.loads = [0] * n
-        self._stored: Counter = Counter()
+        self._stored: set[int] = set()
         self.fingers: list[tuple] = [()] * n
         # hop candidates of each node sorted by clockwise offset from it,
         # as aligned lists of addresses and offsets
@@ -175,8 +175,8 @@ class ChordNetwork:
         bases = [keys[a - 1] + 1 for a in range(n)]
         n_bits = n.bit_length()
         loads = [0] * n
-        data = array("q")  # 8 bytes a key; a list adds an int object per key
-        append = data.append
+        stored: set[int] = set()
+        add = stored.add
         for _ in range(count):
             a = getrandbits(n_bits)
             while a >= n:
@@ -186,10 +186,10 @@ class ChordNetwork:
             r = getrandbits(bits)
             while r >= arc:
                 r = getrandbits(bits)
-            append((bases[a] + r) & mask)
+            add((bases[a] + r) & mask)
             loads[a] += 1
         self.loads = loads
-        self._stored = Counter(data)
+        self._stored = stored
         if self.finger_mode == ENTRY_BOUND:
             for addr in range(n):
                 self._build_table(addr)
@@ -245,7 +245,6 @@ class ChordNetwork:
         t = bisect_left(keys, d)
         if t == n:
             t = 0
-        # a Counter entry is never 0, so membership is the ground truth
         truth = d in self._stored
         # the owner is start itself or its clockwise neighbor
         if start == t or start + 1 == t or start - t == n - 1:
@@ -255,37 +254,33 @@ class ChordNetwork:
         if owner != t:
             routes = {}
             self._route_memo = (t, routes)
-        else:
-            route = routes.get(start)
-            if route is not None:
-                hops, path, error = route
-                if error:
-                    return _outcome(
-                        LookupOutcome, (False, not truth, hops, path, True)
-                    )
-                return _outcome(LookupOutcome, (truth, True, hops, path, False))
+        route = routes.get(start)
+        if route is None:
+            addrs = self._table_addrs
+            offs = self._table_offs
+            mask = self.size - 1
+            tkey = keys[t]
+            a = start
+            path = [a]
+            while True:
+                dist = (tkey - keys[a]) & mask
+                a_offs = offs[a]
+                j = bisect_right(a_offs, dist)
+                if not j or (dist - a_offs[j - 1]).bit_length() >= dist.bit_length():
+                    # no table node improves a bit of the distance: stall
+                    error = True
+                    break
+                a = addrs[a][j - 1]
+                path.append(a)
+                if a == t or a + 1 == t or a - t == n - 1:
+                    error = False
+                    break
+            route = routes[start] = (len(path) - 1, tuple(path), error)
 
-        addrs = self._table_addrs
-        offs = self._table_offs
-        mask = self.size - 1
-        tkey = keys[t]
-        a = start
-        path = [a]
-        while True:
-            dist = (tkey - keys[a]) & mask
-            a_offs = offs[a]
-            j = bisect_right(a_offs, dist)
-            if not j or (dist - a_offs[j - 1]).bit_length() >= dist.bit_length():
-                # no table node improves a bit of the distance: answer absent
-                hops, path = len(path) - 1, tuple(path)
-                routes[start] = (hops, path, True)
-                return _outcome(LookupOutcome, (False, not truth, hops, path, True))
-            a = addrs[a][j - 1]
-            path.append(a)
-            if a == t or a + 1 == t or a - t == n - 1:
-                hops, path = len(path) - 1, tuple(path)
-                routes[start] = (hops, path, False)
-                return _outcome(LookupOutcome, (truth, True, hops, path, False))
+        hops, path, error = route
+        if error:  # answer absent
+            return _outcome(LookupOutcome, (False, not truth, hops, path, True))
+        return _outcome(LookupOutcome, (truth, True, hops, path, False))
 
     def _check_lookup(self, d, start) -> tuple[int, int]:
         """Refuse a bad `lookup` argument by name; pass int subclasses on as ints."""
@@ -363,10 +358,18 @@ class ChordNetwork:
         return "\n".join(lines) + "\n"
 
 
+def _require_ring_bits(m) -> None:
+    if type(m) is not int:
+        raise TypeError(f"ring bits m must be an int, got {m!r}")
+    if not 1 <= m <= MAX_RING_BITS:
+        raise ValueError(f"need 1 <= m <= {MAX_RING_BITS}, got {m}")
+
+
 def build_network(n: int, m: int, seed, finger_mode: str = FULL) -> ChordNetwork:
     """Sample n distinct node keys uniformly and assemble the ring."""
-    if m < 1 or m > MAX_RING_BITS:
-        raise ValueError(f"need 1 <= m <= {MAX_RING_BITS}, got {m}")
+    _require_ring_bits(m)
+    if type(n) is not int:
+        raise TypeError(f"node count n must be an int, got {n!r}")
     if not 2 <= n <= (1 << m):
         raise ValueError(
             f"need 2 <= n <= 2**m for distinct node keys, got n={n}, m={m}"

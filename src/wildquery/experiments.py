@@ -19,10 +19,10 @@ import math
 import random
 import statistics
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain
-from operator import attrgetter
+from typing import NamedTuple
 
 from . import __version__
 from .analysis import (
@@ -80,8 +80,7 @@ class ExperimentConfig:
     out: str | None = None
 
 
-@dataclass
-class Row:
+class Row(NamedTuple):
     """One result line; field order matches the CSV columns."""
 
     experiment: str
@@ -97,10 +96,6 @@ class Row:
     ratio: float | None
     ok: bool
     seed: int | str
-
-
-_ROW_FIELDS = tuple(f.name for f in fields(Row))
-CSV_COLUMNS = ",".join(_ROW_FIELDS)
 
 
 @dataclass
@@ -143,14 +138,15 @@ def _row_adder(cfg, rows, m=None, w=None, k=None, n=None, with_ratio=True):
     its index in `rows`. `bound` is an int or a Fraction. Runners raise
     before adding a row whose check fails, so every row is ok."""
     experiment, seed, append = cfg.experiment, cfg.seed, rows.append
+    new = tuple.__new__  # builds a Row in C, with no __new__ frame
 
     def add(param, measured, bound) -> None:
         num, den = bound.numerator, bound.denominator
         ratio = float(measured) * den / num if with_ratio and num else None
-        append(Row(
+        append(new(Row, (
             experiment, m, w, k, n, param, len(rows), measured, num, den,
             ratio, True, seed,
-        ))
+        )))
 
     return add
 
@@ -164,6 +160,11 @@ def _report(cfg, rows: list[Row], aggregates: dict) -> ExperimentReport:
 def _require(cond: bool, hint: str) -> None:
     if not cond:
         raise SizingError(hint)
+
+
+def _require_between(lo: int, name: str, value: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise SizingError(f"need {lo} <= {name} <= {hi}, got {value}")
 
 
 def _require_trie(cfg) -> None:
@@ -189,14 +190,10 @@ def _require_ring(cfg, mode: str, min_m: int = 1) -> None:
         cfg.mode == mode,
         f"{cfg.experiment} needs finger mode {mode!r}, got {cfg.mode!r}",
     )
-    _require(2 <= n <= MAX_RING_NODES, f"need 2 <= n <= {MAX_RING_NODES}, got {n}")
-    _require(min_m <= m <= 16, f"need {min_m} <= m <= 16, got {m}")
+    _require_between(2, "n", n, MAX_RING_NODES)
+    _require_between(min_m, "m", m, 16)
     _require(n <= 1 << m, f"need n <= 2**m, got n={n}, m={m}")
-    _require(
-        0 <= cfg.entries_factor <= MAX_ENTRIES_FACTOR,
-        f"need 0 <= entries factor <= {MAX_ENTRIES_FACTOR}, "
-        f"got {cfg.entries_factor}",
-    )
+    _require_between(0, "entries factor", cfg.entries_factor, MAX_ENTRIES_FACTOR)
 
 
 # -- trie experiments -------------------------------------------------------
@@ -263,9 +260,7 @@ def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
         0 <= population <= k**m,
         f"need 0 <= population <= k**m = {k**m}, got {population}",
     )
-    _require(
-        1 <= trials <= MAX_TRIALS, f"need 1 <= trials <= {MAX_TRIALS}, got {trials}"
-    )
+    _require_between(1, "trials", trials, MAX_TRIALS)
 
     bound_mean = mean_step_bound(m, w, k)
     trie_count = max(1, trials // 100)
@@ -319,10 +314,7 @@ def run_identity_sweep(cfg: ExperimentConfig) -> ExperimentReport:
     and that the binomial convolution collapses to a single binomial.
     """
     m_max = cfg.m
-    _require(
-        1 <= m_max <= MAX_IDENTITY_M,
-        f"need 1 <= m <= {MAX_IDENTITY_M}, got {m_max}",
-    )
+    _require_between(1, "m", m_max, MAX_IDENTITY_M)
     rows: list[Row] = []
     for m in range(1, m_max + 1):
         for w in range(1, m + 1):
@@ -357,10 +349,7 @@ def run_position_law(cfg: ExperimentConfig) -> ExperimentReport:
     """
     m, w, trials = cfg.m, cfg.w, cfg.trials
     _require(1 <= w <= m <= 64, f"need 1 <= w <= m <= 64, got m={m}, w={w}")
-    _require(
-        1 <= trials <= MAX_LAW_TRIALS,
-        f"need 1 <= trials <= {MAX_LAW_TRIALS}, got {trials}",
-    )
+    _require_between(1, "trials", trials, MAX_LAW_TRIALS)
 
     rng = _rng(cfg.seed, "draws")
     counts = [[0] * (m + 1) for _ in range(w + 1)]
@@ -493,15 +482,8 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
     _require_ring(cfg, FULL)
     m, w, n, trials = cfg.m, cfg.w, cfg.n, cfg.trials
     _require(0 <= w <= min(m, 6), f"need 0 <= w <= min(m, 6), got {w}")
-    _require(
-        1 <= trials <= MAX_CHORD_TRIALS,
-        f"need 1 <= trials <= {MAX_CHORD_TRIALS}, got {trials}",
-    )
-    _require(
-        1 <= cfg.entries_factor,
-        f"need 1 <= entries factor <= {MAX_ENTRIES_FACTOR}, "
-        f"got {cfg.entries_factor}",
-    )
+    _require_between(1, "trials", trials, MAX_CHORD_TRIALS)
+    _require_between(1, "entries factor", cfg.entries_factor, MAX_ENTRIES_FACTOR)
 
     net = build_network(n, m, f"{cfg.seed}|net", FULL)
     net.distribute_entries(cfg.entries_factor * m * n, f"{cfg.seed}|entries")
@@ -566,10 +548,7 @@ def run_chord_decay(cfg: ExperimentConfig) -> ExperimentReport:
     """
     _require_ring(cfg, ENTRY_BOUND, min_m=4)
     m, n, per_seed = cfg.m, cfg.n, cfg.trials
-    _require(
-        1 <= per_seed <= MAX_CHORD_TRIALS,
-        f"need 1 <= trials <= {MAX_CHORD_TRIALS}, got {per_seed}",
-    )
+    _require_between(1, "trials", per_seed, MAX_CHORD_TRIALS)
     _require(
         1 <= cfg.entries_factor,
         f"need 1 <= entries factor <= {MAX_ENTRIES_FACTOR}, "
@@ -659,14 +638,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
 # -- serialization ------------------------------------------------------------
 
 
-_row_cells = attrgetter(*_ROW_FIELDS)
-_OK = _ROW_FIELDS.index("ok")
+_OK = Row._fields.index("ok")
 
 # json.dump(indent=2) spells each element of the report's "rows" list
 # like this; Row fields hold only scalars, so each %s takes one encoded value
 _JSON_ROW = (
     "    {\n"
-    + ",\n".join(f"      {json.dumps(name)}: %s" for name in _ROW_FIELDS)
+    + ",\n".join(f"      {json.dumps(name)}: %s" for name in Row._fields)
     + "\n    }"
 )
 # rows per encode call; small chunks keep the peak memory of a long report
@@ -679,19 +657,19 @@ _encode_cells = json.JSONEncoder(separators=("\x00", ": ")).encode
 
 def _write_csv(report: ExperimentReport, handle) -> None:
     writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(_ROW_FIELDS)
+    writer.writerow(Row._fields)
     # csv writes None as "" and a float as its repr; only ok is spelled out
     writer.writerows(
-        (*cells[:_OK], "true" if cells[_OK] else "false", *cells[_OK + 1:])
-        for cells in map(_row_cells, report.rows)
+        (*row[:_OK], "true" if row[_OK] else "false", *row[_OK + 1:])
+        for row in report.rows
     )
 
 
 def _write_json(report: ExperimentReport, handle) -> None:
     """Write the bytes json.dump(payload, handle, indent=2) and a newline
-    would, where payload holds the report's fields and `vars(row)` per row.
-    Only the header and aggregates go through the pure-Python encoder
-    that indent selects; the rows are C-encoded and spliced into
+    would, where payload holds the report's fields and `row._asdict()`
+    per row. Only the header and aggregates go through the pure-Python
+    encoder that indent selects; the rows are C-encoded and spliced into
     _JSON_ROW."""
     write = handle.write
     header = {
@@ -708,7 +686,7 @@ def _write_json(report: ExperimentReport, handle) -> None:
         for start in range(0, len(rows), _JSON_CHUNK):
             chunk = rows[start:start + _JSON_CHUNK]
             cells = _encode_cells(
-                list(chain.from_iterable(map(_row_cells, chunk)))
+                list(chain.from_iterable(chunk))
             )[1:-1].split("\x00")
             if start:
                 write(",\n")

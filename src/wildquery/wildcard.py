@@ -40,9 +40,11 @@ WILDCARD_CHAR = "*"
 
 
 def validate_configuration(m: int, positions: Configuration) -> None:
-    """Require strictly increasing positions within 1..m."""
+    """Require strictly increasing int positions within 1..m."""
     last = 0
     for z in positions:
+        if type(z) is not int:
+            raise TypeError(f"wildcard position must be an int, got {z!r}")
         if not last < z <= m:
             raise ValueError(f"bad wildcard positions {positions} for m={m}")
         last = z
@@ -124,11 +126,8 @@ class QueryPattern:
 
     @cached_property
     def configuration(self) -> Configuration:
-        """`wildcard_positions()`, computed once per pattern."""
-        return self.wildcard_positions()
-
-    def wildcard_positions(self) -> Configuration:
-        """Positions of the wildcards, ascending (least significant first)."""
+        """Positions of the wildcards, ascending (least significant first),
+        computed once per pattern."""
         symbols = self.symbols
         m = len(symbols)
         return tuple(m - i for i in range(m - 1, -1, -1) if symbols[i] is None)

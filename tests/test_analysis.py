@@ -36,6 +36,30 @@ class TestConfigStepBound:
             config_step_bound(3, 2, (2,), 2)
 
 
+@pytest.mark.parametrize(
+    "bound, args, name",
+    [
+        # a float k or position came back as a float bound (10.0, 9.0)
+        (config_step_bound, (4, 1, (2,), 2.5), "k"),
+        (config_step_bound, (4, 1, (2.5,), 2), "wildcard position"),
+        (config_step_bound, (4.0, 1, (2,), 2), "m"),
+        (config_step_bound, (4, True, (2,), 2), "w"),
+        (config_step_bound, (4, 1, (True,), 2), "wildcard position"),
+        # these leaked Fraction's "both arguments should be Rational"
+        (mean_step_bound, (4, 1, 2.5), "k"),
+        (mean_step_bound, (4.0, 1), "m"),
+        (mean_step_bound, (4, 1.0), "w"),
+        (mean_step_bound, (4, 1, True), "k"),
+        (mean_step_bound_hypergeometric, (4, 1, 2.0), "k"),
+        (mean_step_bound_hypergeometric, (4.0, 1), "m"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else repr(v),
+)
+def test_non_int_arguments_are_refused_by_name(bound, args, name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int"):
+        bound(*args)
+
+
 class TestPositionPmf:
     def test_spot_value(self):
         assert wildcard_position_pmf(3, 2, 2, 1) == Fraction(1, 3)

@@ -128,6 +128,18 @@ def test_result_fields_the_tracer_reads():
     assert {"steps", "matches", "per_key_steps"} <= fields
 
 
+def test_rows_expose_the_fields_perfbench_reads():
+    # perfbench/worker.py's verify gates on row.ok, and tracing.py's
+    # summary sums row.bound_num over the trie runners' rows
+    report = experiments.run_experiment(
+        experiments.ExperimentConfig(experiment="trie-exact", seed=7, m=3, w=1)
+    )
+    assert [row.ok for row in report.rows] == [True] * 3
+    assert [row.bound_num for row in report.rows] == [
+        experiments.config_step_bound(3, 1, (z,), 2) for z in (1, 2, 3)
+    ]
+
+
 def test_query_takes_trie_and_pattern_and_charges_every_expansion():
     # the trie-search shape: trie-random at k=2, m=12, w=4 over 1,024 keys;
     # the runners pass (trie, pattern) positionally, and on_query counts

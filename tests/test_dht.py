@@ -31,11 +31,11 @@ def randrange_fill(net, count, seed):
     n, size = net.n, net.size
     keys = net.node_keys
     loads = [0] * n
-    stored = Counter()
+    stored = set()
     for _ in range(count):
         addr = rng.randrange(n)
         arc = (keys[addr] - keys[addr - 1]) % size
-        stored[(keys[addr - 1] + 1 + rng.randrange(arc)) % size] += 1
+        stored.add((keys[addr - 1] + 1 + rng.randrange(arc)) % size)
         loads[addr] += 1
     return loads, stored
 
@@ -101,7 +101,6 @@ def reference_lookup(self, d, start):
         a = addrs[a][j]
         path.append(a)
 
-    # a Counter entry is never 0, so membership is the ground truth
     truth = d in self._stored
     found = truth and not error
     return LookupOutcome(
@@ -135,6 +134,31 @@ class TestConstruction:
     def test_injection_limit(self):
         with pytest.raises(ValueError):
             build_network(9, 3, seed=0)
+
+    @pytest.mark.parametrize(
+        "build, args, name",
+        [
+            # a float key passed the range check, then leaked "unsupported
+            # operand type(s) for &" from _build_table
+            (ChordNetwork, (4, [1.5, 3]), "node key"),
+            (ChordNetwork, (4, [1, True]), "node key"),
+            (ChordNetwork, (4.0, [1, 3]), "ring bits m"),
+            # a float n leaked "can't multiply sequence by non-int"
+            (build_network, (2.0, 4, 1), "node count n"),
+            (build_network, (2, 4.0, 1), "ring bits m"),
+        ],
+        ids=lambda v: v.__name__ if callable(v) else repr(v),
+    )
+    def test_non_int_ring_input_is_refused_by_name(self, build, args, name):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
+            build(*args)
+
+    def test_ring_bits_outside_the_range_are_refused(self):
+        for m in (0, MAX_RING_BITS + 1):
+            with pytest.raises(ValueError, match=f"got {m}$"):
+                ChordNetwork(m, [0, 1])
+            with pytest.raises(ValueError, match=f"got {m}$"):
+                build_network(2, m, 1)
 
     def test_full_mode_has_every_finger(self):
         net = build_network(16, 8, seed=7)
@@ -202,7 +226,7 @@ class TestEntries:
         # in its arc (predecessor key, node key]
         rng = random.Random(7)
         want = [0] * net.n
-        want_stored = Counter()
+        want_stored = set()
         stored = set(net.stored_keys())
         for _ in range(400):
             addr = rng.randrange(net.n)
@@ -211,7 +235,7 @@ class TestEntries:
             assert net.successor_of(d) == addr
             assert d in stored
             want[addr] += 1
-            want_stored[d] += 1
+            want_stored.add(d)
         assert net.loads == want
         assert net._stored == want_stored
         assert sum(net.loads) == 400

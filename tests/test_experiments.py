@@ -19,7 +19,6 @@ from wildquery import cli
 from wildquery.cli import DEFAULTS, build_parser, config_from_args, main
 from wildquery.dht import FULL, ChordNetwork
 from wildquery.experiments import (
-    CSV_COLUMNS,
     MAX_ENTRIES_FACTOR,
     MAX_TRIE_KEYS,
     ExperimentConfig,
@@ -297,23 +296,29 @@ class TestRunners:
             run_experiment(cfg("warp-drive"))
 
 
+# the CSV header README documents
+CSV_HEADER = (
+    "experiment,m,w,k,n,param,trial,measured,bound_num,bound_den,ratio,ok,seed"
+)
+
+
 def _old_emit(report, fmt, path):
     """The writer emit replaced, kept as its byte oracle: json.dump with
     indent=2 over the whole payload, and one dict per CSV row."""
     if fmt == "csv":
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS.split(","))
+            writer.writerow(CSV_HEADER.split(","))
             for row in report.rows:
                 writer.writerow(
-                    {**vars(row), "ok": "true" if row.ok else "false"}.values()
+                    {**row._asdict(), "ok": "true" if row.ok else "false"}.values()
                 )
     else:
         payload = {
             "experiment": report.experiment,
             "version": report.version,
             "config": report.config,
-            "rows": [vars(row) for row in report.rows],
+            "rows": [row._asdict() for row in report.rows],
             "aggregates": report.aggregates,
         }
         with open(path, "w") as handle:
@@ -387,7 +392,7 @@ class TestEmit:
         path = tmp_path / "r.csv"
         emit(report, "csv", path)
         lines = path.read_text().splitlines()
-        assert lines[0] == CSV_COLUMNS
+        assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + len(report.rows)
         assert lines[1] == "trie-exact,2,1,2,,1,0,4,4,1,1.0,true,7"
 
@@ -424,7 +429,7 @@ class TestEmit:
         )
         path = tmp_path / "empty.csv"
         emit(report, "csv", path)
-        assert path.read_text() == CSV_COLUMNS + "\n"
+        assert path.read_text() == CSV_HEADER + "\n"
 
     def test_unwritable_path(self, tmp_path):
         report = run_trie_exact(cfg("trie-exact", m=2, w=1))
@@ -561,12 +566,17 @@ class TestCli:
             (["chord-decay", "--entries-factor", "0"],
              f"need 1 <= entries factor <= {MAX_ENTRIES_FACTOR}, got 0 "
              "(0 has no stored keys to look up)"),
+            (["chord-decay", "--m", "3"], "need 4 <= m <= 16, got 3"),
+            (["chord-single", "--m", "17"], "need 1 <= m <= 16, got 17"),
+            (["chord-wildcard", "--entries-factor", "65"],
+             f"need 0 <= entries factor <= {MAX_ENTRIES_FACTOR}, got 65"),
         ],
         ids=[
             "population", "entries-factor", "trie-random-trials",
             "position-law-trials", "chord-single-trials",
             "chord-wildcard-trials", "chord-decay-trials", "ring-nodes",
-            "identity-m", "decay-entries-factor",
+            "identity-m", "decay-entries-factor", "decay-m", "ring-m",
+            "entries-factor-above",
         ],
     )
     def test_sizing_hint_names_range_and_value(self, args, hint, tmp_path):
