@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
         _check_writable(cfg.out)
-    except (SizeLimitError, ValueError) as exc:
+    except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -168,7 +168,7 @@ def main(argv=None) -> int:
     except ExperimentFailure as exc:
         print(f"ASSERTION FAILED: {exc}", file=sys.stderr)
         return 1
-    except (SizeLimitError, ValueError) as exc:
+    except ValueError as exc:
         print(f"sizing error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -18,7 +18,8 @@ that bit length, so no lookup takes more than m hops.
 Finger tables come in two modes. "full" grants every node all m fingers
 (finger i points at the successor of key + 2**(i-1)). "entry-bound"
 grants finger i only to nodes holding at least i entries, which ties
-routing power to the entry distribution.
+routing power to the entry distribution; a node's fingers are always
+a prefix 1..g, and one pass builds every node's table.
 
 Everything is seeded and single-threaded. A built network's tables and
 entries are read-only during measurement. The one thing a lookup writes
@@ -87,9 +88,9 @@ class RingQueryResult:
 class ChordNetwork:
     """n nodes on the 2**m ring with per-node finger tables and loads.
 
-    `fingers[addr]` has one slot per finger index 1..m, holding the
-    finger's address or None where the node is not granted it;
-    `loads[addr]` is the number of entries the node stores.
+    `fingers[addr]` holds the node's granted fingers 1..g in order (g = m
+    in full mode, min(m, load) entry-bound), and `loads[addr]` the number
+    of entries the node stores.
     """
 
     def __init__(self, m: int, node_keys: list[int], finger_mode: str = FULL):
@@ -113,38 +114,36 @@ class ChordNetwork:
         self.n = n
         self.loads = [0] * n
         self._stored: set[int] = set()
-        self.fingers: list[tuple] = [()] * n
-        # hop candidates of each node sorted by clockwise offset from it,
-        # as aligned lists of addresses and offsets
-        self._table_addrs: list[list[int]] = [[] for _ in range(n)]
-        self._table_offs: list[list[int]] = [[] for _ in range(n)]
-        for addr in range(n):
-            self._build_table(addr)
+        self._build_tables()
 
     def successor_of(self, d: int) -> int:
         """Address of the node owning key d, the first at or after d."""
         return bisect_left(self.node_keys, d) % self.n
 
-    def _build_table(self, addr: int) -> None:
-        """Set one node's fingers from its grant, and its hop candidates."""
+    def _build_tables(self) -> None:
+        """Build every node's fingers and hop candidates in one pass."""
         n, m, mask = self.n, self.m, self.size - 1
         keys = self.node_keys
-        key = keys[addr]
-        granted = m if self.finger_mode == FULL else min(m, self.loads[addr])
-        fingers = tuple(
-            self.successor_of((key + (1 << i)) & mask) if i < granted else None
-            for i in range(m)
-        )
-        self.fingers[addr] = fingers
-        by_off = {
-            (keys[u] - key) & mask: u
-            for u in ((addr + 1) % n, (addr - 1) % n, *fingers)
-            if u is not None
-        }
-        by_off.pop(0, None)  # moving to oneself is not a hop
-        offs = sorted(by_off)
-        self._table_offs[addr] = offs
-        self._table_addrs[addr] = [by_off[off] for off in offs]
+        full = self.finger_mode == FULL
+        fingers, table_addrs, table_offs = [], [], []
+        for addr, key in enumerate(keys):
+            granted = m if full else min(m, self.loads[addr])
+            node_fingers = tuple(
+                bisect_left(keys, (key + (1 << i)) & mask) % n
+                for i in range(granted)
+            )
+            by_off = {
+                (keys[u] - key) & mask: u
+                for u in ((addr + 1) % n, (addr - 1) % n, *node_fingers)
+            }
+            by_off.pop(0, None)  # moving to oneself is not a hop
+            offs = sorted(by_off)
+            fingers.append(node_fingers)
+            table_offs.append(offs)
+            table_addrs.append([by_off[off] for off in offs])
+        self.fingers = fingers
+        self._table_addrs = table_addrs
+        self._table_offs = table_offs
         # the only writer of the tables, so no memoized route outlives them
         self._route_memo = _NO_ROUTES
 
@@ -165,6 +164,8 @@ class ChordNetwork:
         x, so it consumes the same bits in the same order. The oracle test
         in tests/test_dht.py replays the `randrange` loop and pins it.
         """
+        if type(count) is not int:
+            raise TypeError(f"entry count must be an int, got {count!r}")
         if count < 0:
             raise ValueError("entry count must be >= 0")
         getrandbits = random.Random(seed).getrandbits
@@ -191,8 +192,7 @@ class ChordNetwork:
         self.loads = loads
         self._stored = stored
         if self.finger_mode == ENTRY_BOUND:
-            for addr in range(n):
-                self._build_table(addr)
+            self._build_tables()
         return self
 
     def stored_keys(self) -> list[int]:
@@ -220,7 +220,7 @@ class ChordNetwork:
         last owner it routed to, as one `(owner, routes)` tuple: routes
         maps a start to `(hops, path, error_case)`, and a routed lookup to
         another owner swaps in a new tuple with a fresh dict. A route
-        depends only on the tables, which `_build_table` alone writes and
+        depends only on the tables, which `_build_tables` alone writes and
         which reset the memo there; `found` and `correct` are recomputed
         from this call's entries. Every call therefore returns the outcome
         routing would, and concurrent readers only ever add the same routes.
@@ -346,7 +346,6 @@ class ChordNetwork:
             fingers = ";".join(
                 f"{i}:{self.node_keys[f]}"
                 for i, f in enumerate(self.fingers[addr], start=1)
-                if f is not None
             )
             lines.append(
                 f"node {addr}: key={self.node_keys[addr]}"

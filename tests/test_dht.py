@@ -139,13 +139,17 @@ class TestConstruction:
         "build, args, name",
         [
             # a float key passed the range check, then leaked "unsupported
-            # operand type(s) for &" from _build_table
+            # operand type(s) for &" from _build_tables
             (ChordNetwork, (4, [1.5, 3]), "node key"),
             (ChordNetwork, (4, [1, True]), "node key"),
             (ChordNetwork, (4.0, [1, 3]), "ring bits m"),
             # a float n leaked "can't multiply sequence by non-int"
             (build_network, (2.0, 4, 1), "node count n"),
             (build_network, (2, 4.0, 1), "ring bits m"),
+            # a float count leaked "'float' object cannot be interpreted
+            # as an integer", and True placed one entry
+            (build_network(2, 4, 1).distribute_entries, (2.5, 1), "entry count"),
+            (build_network(2, 4, 1).distribute_entries, (True, 1), "entry count"),
         ],
         ids=lambda v: v.__name__ if callable(v) else repr(v),
     )
@@ -167,18 +171,15 @@ class TestConstruction:
 
     @staticmethod
     def assert_fingers_match_ring_scan(net):
-        # finger i exists iff the node is granted it, and then points at
-        # the node found by scanning the whole ring for the nearest key
+        # a node holds exactly its granted fingers 1..g, and finger i points
+        # at the node found by scanning the whole ring for the nearest key
         for addr in range(net.n):
             key = net.node_keys[addr]
             granted = net.m if net.finger_mode == FULL else min(
                 net.m, net.loads[addr]
             )
-            assert len(net.fingers[addr]) == net.m
+            assert len(net.fingers[addr]) == granted
             for i, finger in enumerate(net.fingers[addr], start=1):
-                if i > granted:
-                    assert finger is None
-                    continue
                 target = (key + (1 << (i - 1))) % net.size
                 want = min(
                     range(net.n),
@@ -197,8 +198,7 @@ class TestConstruction:
             # the refill's rebuild must equal a rebuild of a fresh ring
             fresh = ChordNetwork(net.m, net.node_keys, ENTRY_BOUND)
             fresh.loads = list(net.loads)
-            for addr in range(net.n):
-                fresh._build_table(addr)
+            fresh._build_tables()
             assert fresh.fingers == net.fingers
             assert fresh._table_addrs == net._table_addrs
             assert fresh._table_offs == net._table_offs
@@ -208,7 +208,7 @@ class TestEntries:
     def test_entry_bound_with_no_entries_has_no_fingers(self):
         net = build_network(10, 8, seed=2, finger_mode=ENTRY_BOUND)
         for addr in range(net.n):
-            assert net.fingers[addr] == (None,) * net.m
+            assert net.fingers[addr] == ()
         for line in net.snapshot().splitlines()[1:]:
             assert " fingers= entries=0" in line
 
@@ -218,6 +218,32 @@ class TestEntries:
         for addr in range(net.n):
             granted = sum(1 for f in net.fingers[addr] if f is not None)
             assert granted == min(net.m, net.loads[addr])
+
+    @pytest.mark.parametrize(
+        "n, m, seed", [(2, 1, 0), (2, 2, 1), (5, 4, 2), (16, 6, 3), (40, 10, 5)]
+    )
+    def test_entry_bound_ring_with_m_entries_everywhere_is_full(self, n, m, seed):
+        # the lemma behind the lookup-failure bound: a node holding at
+        # least m entries is granted every finger, so once every node does,
+        # the entry-bound tables are the full-mode ones
+        full = build_network(n, m, seed)
+        net = ChordNetwork(m, full.node_keys, ENTRY_BOUND)
+        short = 0
+        count = n
+        while True:
+            net.distribute_entries(count, seed=count)
+            if min(net.loads) >= m:
+                break
+            for addr, load in enumerate(net.loads):
+                if load < m:
+                    short += 1
+                    assert len(net.fingers[addr]) == load
+            count *= 2
+        assert short, "no fill left a node below m entries"
+        assert min(net.loads) >= m
+        assert net.fingers == full.fingers
+        assert net._table_offs == full._table_offs
+        assert net._table_addrs == full._table_addrs
 
     def test_entries_live_at_successor_of_their_key(self):
         net = build_network(12, 9, seed=6)
