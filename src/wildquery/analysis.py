@@ -11,18 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
+from .errors import refuse_non_int
 from .wildcard import Configuration, validate_configuration
-
-
-def _refuse_non_int(**args) -> None:
-    """Raise TypeError naming the first argument that is not an int.
-
-    A float would turn an exact bound into an inexact one, and a bool is
-    not a size.
-    """
-    for name, value in args.items():
-        if type(value) is not int:
-            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def config_step_bound(m: int, w: int, positions: Configuration, k: int = 2) -> int:
@@ -33,7 +23,7 @@ def config_step_bound(m: int, w: int, positions: Configuration, k: int = 2) -> i
     2**(w-j+1).
     """
     if not (type(m) is int and type(w) is int and type(k) is int):
-        _refuse_non_int(m=m, w=w, k=k)
+        refuse_non_int(m=m, w=w, k=k)
     positions = tuple(positions)
     if len(positions) != w:
         raise ValueError(f"expected {w} positions, got {positions}")
@@ -52,6 +42,9 @@ def wildcard_position_pmf(m: int, w: int, z: int, j: int) -> Fraction:
     C(z-1, j-1) * C(m-z, w-j) / C(m, w); arguments outside the support
     give 0.
     """
+    if not (type(m) is int and type(w) is int and type(z) is int
+            and type(j) is int):
+        refuse_non_int(m=m, w=w, z=z, j=j)
     if not (1 <= j <= w <= m and 1 <= z <= m):
         return Fraction(0)
     return Fraction(comb(z - 1, j - 1) * comb(m - z, w - j), comb(m, w))
@@ -65,7 +58,7 @@ def mean_step_bound(m: int, w: int, k: int = 2) -> Fraction:
     plain search.
     """
     if not (type(m) is int and type(w) is int and type(k) is int):
-        _refuse_non_int(m=m, w=w, k=k)
+        refuse_non_int(m=m, w=w, k=k)
     if k < 2:
         raise ValueError(f"arity must be >= 2, got {k}")
     if not 0 <= w <= m:
@@ -85,7 +78,7 @@ def mean_step_bound_hypergeometric(m: int, w: int, k: int = 2) -> Fraction:
     form identity the bound rests on.
     """
     if not (type(m) is int and type(w) is int and type(k) is int):
-        _refuse_non_int(m=m, w=w, k=k)
+        refuse_non_int(m=m, w=w, k=k)
     if k < 2:
         raise ValueError(f"arity must be >= 2, got {k}")
     if not 1 <= w <= m:
@@ -105,6 +98,8 @@ def binomial_convolution_identity(m: int, w: int, j: int) -> tuple[int, int]:
     The left side is summed directly over z = 0..m; the right side is a
     single binomial. Returned as (lhs, rhs) for the caller to compare.
     """
+    if not (type(m) is int and type(w) is int and type(j) is int):
+        refuse_non_int(m=m, w=w, j=j)
     if not 1 <= j <= w <= m:
         raise ValueError(f"need 1 <= j <= w <= m, got m={m}, w={w}, j={j}")
     lhs = sum(comb(z, j) * comb(m - z, w - j) for z in range(m + 1))

@@ -19,6 +19,7 @@ import math
 import random
 import statistics
 import time
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -384,16 +385,43 @@ def run_position_law(cfg: ExperimentConfig) -> ExperimentReport:
 # -- chord experiments -------------------------------------------------------
 
 
-def _halving_ok(net, d: int, path) -> bool:
-    t = net.successor_of(d)
-    tkey = net.node_keys[t]
+def _halving_ok(net, d: int, path, approved=None) -> bool:
+    """Whether every hop of `path` at least halves the clockwise distance
+    left to the owner of d, as on a full-finger ring it must.
+
+    `approved` is an optional verdict cache that one caller threads
+    through its calls, a list [base, length, paths]; [0, 0, None] starts
+    it empty. It holds the arc of the current owner, the keys base ..
+    base + length - 1 clockwise, and the set of paths already approved
+    toward that owner. A path equal to one in the set, toward a key in
+    the arc, is approved without a walk. This is exact: the verdict
+    depends only on the owner's key and the path, the set keeps every
+    path in it alive and compares by equality, and a failing path is
+    never stored. An approval toward another owner replaces the arc and
+    the set, so the set holds at most one path per start node.
+    """
     mask = net.size - 1
-    prev = (tkey - net.node_keys[path[0]]) & mask
+    if approved is not None:
+        base, length, paths = approved
+        if (d - base) & mask < length and path in paths:
+            return True
+    keys = net.node_keys
+    t = bisect_left(keys, d) % net.n
+    tkey = keys[t]
+    prev = (tkey - keys[path[0]]) & mask
     for addr in path[1:]:
-        cur = (tkey - net.node_keys[addr]) & mask
+        cur = (tkey - keys[addr]) & mask
         if cur > prev // 2:
             return False
         prev = cur
+    if approved is not None:
+        if (d - base) & mask < length:
+            paths.add(path)
+        else:
+            # a new owner: its arc (predecessor key, owner key] and a set
+            # made only now, on its first approval
+            base = keys[t - 1] + 1
+            approved[:] = base, ((tkey - base) & mask) + 1, {path}
     return True
 
 
@@ -413,7 +441,10 @@ def run_chord_single(cfg: ExperimentConfig) -> ExperimentReport:
     trials == 0 sweeps every (target, start) pair exhaustively, one row
     per target carrying the worst hop count over starts; otherwise each
     trial samples one pair. Every lookup must answer correctly, use at
-    most m hops, and halve the remaining distance on every hop.
+    most m hops, and halve the remaining distance on every hop. The
+    halving check still runs once per lookup, but keeps its verdict per
+    (owner, path): a path it has approved toward the current owner is
+    not walked again when the route memo hands it back.
     """
     _require_ring(cfg, FULL)
     m, n, trials = cfg.m, cfg.n, cfg.trials
@@ -442,6 +473,10 @@ def run_chord_single(cfg: ExperimentConfig) -> ExperimentReport:
     add = _row_adder(cfg, rows, m=m, n=n)
     hop_total = 0
     lookup = net.lookup
+    # the sweep meets each (owner, start) route 2**m / n times, so it keeps
+    # _halving_ok's verdicts; sampled pairs almost never repeat an owner,
+    # and there keeping them would only add work to every check
+    approved = [0, 0, None] if trials == 0 else None
     for d, starts, label in groups:
         worst = 0
         for start in starts:
@@ -453,7 +488,7 @@ def run_chord_single(cfg: ExperimentConfig) -> ExperimentReport:
                 raise ExperimentFailure(
                     f"{hops} hops > m={m} for d={d} start={start}"
                 )
-            if not _halving_ok(net, d, path):
+            if not _halving_ok(net, d, path, approved):
                 raise ExperimentFailure(
                     f"halving violated on path {path} for d={d}"
                 )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, insort
 
-from .errors import KeyRangeError, SizeLimitError
+from .errors import KeyRangeError, SizeLimitError, refuse_non_int
 
 # desk-scale ceiling on trie keys; the trie runners apply it too
 MAX_TRIE_KEYS = 1 << 20
@@ -65,6 +65,8 @@ class Trie:
 
 def complete_trie(k: int, m: int) -> Trie:
     """Trie containing every key in [0, k**m)."""
+    if not (type(k) is int and type(m) is int):
+        refuse_non_int(k=k, m=m)
     if k**m > MAX_TRIE_KEYS:
         raise SizeLimitError(
             f"complete trie k={k}, m={m} has {k ** m} keys, "
@@ -77,6 +79,8 @@ def complete_trie(k: int, m: int) -> Trie:
 
 def random_trie(k: int, m: int, population: int, seed) -> Trie:
     """Trie holding `population` distinct uniform keys, fixed by `seed`."""
+    if not (type(k) is int and type(m) is int and type(population) is int):
+        refuse_non_int(k=k, m=m, population=population)
     space = k**m
     if not 0 <= population <= space:
         raise ValueError(

@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import PatternShapeError, SizeLimitError
+from .errors import PatternShapeError, SizeLimitError, refuse_non_int
 from .trie import Trie
 
 Configuration = tuple[int, ...]
@@ -93,6 +93,8 @@ class QueryPattern:
         `fixed_letters` fills the remaining positions: either one letter
         for all of them or a sequence indexed left to right.
         """
+        if type(m) is not int:
+            refuse_non_int(m=m)
         positions = tuple(positions)
         validate_configuration(m, positions)
         n_fixed = m - len(positions)
@@ -300,6 +302,8 @@ def sample_configuration(m: int, w: int, rng: random.Random) -> Configuration:
     until it hits an unpicked index. The oracle tests in
     tests/test_wildcard.py replay `rng.sample` and pin both branches.
     """
+    if not (type(m) is int and type(w) is int):
+        refuse_non_int(m=m, w=w)
     if not 0 <= w <= m:
         raise ValueError(f"need 0 <= w <= m, got w={w}, m={m}")
     getrandbits = rng.getrandbits
@@ -330,6 +334,8 @@ def sample_configuration(m: int, w: int, rng: random.Random) -> Configuration:
 
 def enumerate_configurations(m: int, w: int) -> list[Configuration]:
     """All w-subsets of positions 1..m in lexicographic order."""
+    if not (type(m) is int and type(w) is int):
+        refuse_non_int(m=m, w=w)
     if not 0 <= w <= m:
         raise ValueError(f"need 0 <= w <= m, got w={w}, m={m}")
     if math.comb(m, w) > MAX_CONFIGURATIONS:

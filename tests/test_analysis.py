@@ -13,7 +13,7 @@ from wildquery.analysis import (
     wildcard_position_pmf,
 )
 from wildquery.wildcard import enumerate_configurations, sample_configuration
-from wildquery.trie import complete_trie
+from wildquery.trie import complete_trie, random_trie
 from wildquery.wildcard import QueryPattern, backtracking_query
 
 
@@ -37,7 +37,7 @@ class TestConfigStepBound:
 
 
 @pytest.mark.parametrize(
-    "bound, args, name",
+    "func, args, name",
     [
         # a float k or position came back as a float bound (10.0, 9.0)
         (config_step_bound, (4, 1, (2,), 2.5), "k"),
@@ -52,12 +52,30 @@ class TestConfigStepBound:
         (mean_step_bound, (4, 1, True), "k"),
         (mean_step_bound_hypergeometric, (4, 1, 2.0), "k"),
         (mean_step_bound_hypergeometric, (4.0, 1), "m"),
+        # these leaked "can't multiply sequence by non-int" or "'float'
+        # object cannot be interpreted as an integer"
+        (QueryPattern.from_configuration, (4.0, (1,)), "m"),
+        (random_trie, (2, 3, 2.0, 1), "population"),
+        (random_trie, (2, 3.0, 2, 1), "m"),
+        (wildcard_position_pmf, (4, 1, 2.5, 1), "z"),
+        (binomial_convolution_identity, (4.0, 1, 1), "m"),
+        pytest.param(
+            sample_configuration, (4.0, 1, random.Random(1)), "m",
+            id="sample_configuration-(4.0, 1, rng)-'m'",
+        ),
+        (enumerate_configurations, (4.0, 1), "m"),
+        (complete_trie, (2.0, 3), "k"),
+        # a bool was taken as 1: the pmf returned 1/4, the enumeration
+        # [(1,)], and complete_trie said "arity must be >= 2, got True"
+        (wildcard_position_pmf, (4, True, 1, 1), "w"),
+        (enumerate_configurations, (True, True), "m"),
+        (complete_trie, (True, 3), "k"),
     ],
-    ids=lambda v: v.__name__ if callable(v) else repr(v),
+    ids=lambda v: v.__qualname__ if callable(v) else repr(v),
 )
-def test_non_int_arguments_are_refused_by_name(bound, args, name):
+def test_non_int_arguments_are_refused_by_name(func, args, name):
     with pytest.raises(TypeError, match=f"^{name} must be an int"):
-        bound(*args)
+        func(*args)
 
 
 class TestPositionPmf:

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import random
 import signal
 import tempfile
 import time
@@ -41,6 +42,21 @@ from wildquery.experiments import (
 def cfg(experiment, **kw):
     kw.setdefault("seed", 7)
     return ExperimentConfig(experiment=experiment, **kw)
+
+
+def reference_halving_ok(net, d, path):
+    """Oracle: the halving check as it was before it kept verdicts; it
+    finds the owner and walks the whole path on every call."""
+    t = net.successor_of(d)
+    tkey = net.node_keys[t]
+    mask = net.size - 1
+    prev = (tkey - net.node_keys[path[0]]) & mask
+    for addr in path[1:]:
+        cur = (tkey - net.node_keys[addr]) & mask
+        if cur > prev // 2:
+            return False
+        prev = cur
+    return True
 
 
 def _flag(dest):
@@ -221,6 +237,81 @@ class TestRunners:
         assert experiments._halving_ok(net, 0, (1, 3))  # 12 -> 4
         assert not experiments._halving_ok(net, 0, (1, 2))  # 12 -> 8 > 6
         assert not experiments._halving_ok(net, 0, (1, 3, 2))  # 4 -> 8
+
+    @pytest.mark.parametrize("m, n", [(7, 16), (5, 2), (4, 16), (6, 3)])
+    def test_kept_verdicts_agree_with_the_oracle_over_a_sweep(self, m, n):
+        # one cache threaded through the sweep order, with hand-made
+        # non-halving paths checked between the lookups' own paths
+        net = ChordNetwork(m, random.Random(m * n).sample(range(1 << m), n))
+        approved = [0, 0, None]
+        for d in range(net.size):
+            for start in range(n):
+                path = net.lookup(d, start).path
+                bad = [
+                    p for p in (path[::-1], path + (path[0],), (0,) + path)
+                    if not reference_halving_ok(net, d, p)
+                ]
+                for p in (path, *bad, path):
+                    assert experiments._halving_ok(
+                        net, d, p, approved
+                    ) == reference_halving_ok(net, d, p)
+                base, length, paths = approved
+                assert len(paths) <= n
+                owner = (base + length - 1) % net.size
+                assert all(reference_halving_ok(net, owner, p) for p in paths)
+
+    def test_a_kept_verdict_does_not_carry_across_owners(self):
+        # keys 0, 4, 8, 12: (1, 3) goes 12 -> 4 toward key 0, but 4 -> 12
+        # toward key 8
+        net = ChordNetwork(4, [0, 4, 8, 12])
+        approved = [0, 0, None]
+        path = (1, 3)
+        assert experiments._halving_ok(net, 0, path, approved)
+        assert experiments._halving_ok(net, 13, path, approved)  # owner 0
+        assert approved[2] == {path}
+        assert not experiments._halving_ok(net, 8, path, approved)
+        assert not reference_halving_ok(net, 8, path)
+        assert experiments._halving_ok(net, 0, path, approved)
+
+    def test_sweep_refuses_a_fresh_bad_path_on_a_repeated_route(
+        self, monkeypatch
+    ):
+        # the second time the sweep meets an (owner, start) route with two
+        # or more hops, lookup hands back an equal-length copy with its
+        # last two hops swapped, which moves away from the owner
+        seen, bad = set(), []
+        lookup = ChordNetwork.lookup
+
+        def faulty(net, d, start):
+            out = lookup(net, d, start)
+            route = (net.successor_of(d), start)
+            if len(out.path) >= 3 and route in seen and not bad:
+                path = out.path[:-2] + (out.path[-1], out.path[-2])
+                bad.append((d, path))
+                return out._replace(path=path)
+            seen.add(route)
+            return out
+
+        monkeypatch.setattr(ChordNetwork, "lookup", faulty)
+        with pytest.raises(ExperimentFailure) as caught:
+            run_chord_single(cfg("chord-single", m=8, n=16, trials=0))
+        [(d, path)] = bad
+        assert str(caught.value) == f"halving violated on path {path} for d={d}"
+
+    def test_sweep_keeps_at_most_n_verdicts(self, monkeypatch):
+        m, n = 8, 16
+        check = experiments._halving_ok
+        held = []
+
+        def counting(net, d, path, approved):
+            ok = check(net, d, path, approved)
+            held.append(len(approved[2]))
+            return ok
+
+        monkeypatch.setattr(experiments, "_halving_ok", counting)
+        run_chord_single(cfg("chord-single", m=m, n=n, trials=0))
+        assert len(held) == (1 << m) * n
+        assert max(held) == n
 
     def test_chord_single_requires_full_mode(self):
         with pytest.raises(
