@@ -85,15 +85,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_types(merged: dict) -> None:
     """Reject config values the flags' own types would never produce."""
-
-    def is_int(value) -> bool:
-        return isinstance(value, int) and not isinstance(value, bool)
-
     for dest in _PARAMETER_FLAGS:
-        if dest in merged and not is_int(merged[dest]):
+        if dest in merged and type(merged[dest]) is not int:
             raise SizeLimitError(f"{dest} must be an integer, got {merged[dest]!r}")
     seed = merged["seed"]
-    if not (is_int(seed) or isinstance(seed, str)):
+    if not (type(seed) is int or isinstance(seed, str)):
         raise SizeLimitError(f"seed must be an integer or a string, got {seed!r}")
     if "fmt" in merged and merged["fmt"] not in _FORMATS:
         raise SizeLimitError(

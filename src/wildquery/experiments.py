@@ -19,7 +19,6 @@ import math
 import random
 import statistics
 import time
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -385,28 +384,21 @@ def run_position_law(cfg: ExperimentConfig) -> ExperimentReport:
 # -- chord experiments -------------------------------------------------------
 
 
-def _halving_ok(net, d: int, path, approved=None) -> bool:
+def _halving_ok(net, t: int, path, approved: set) -> bool:
     """Whether every hop of `path` at least halves the clockwise distance
-    left to the owner of d, as on a full-finger ring it must.
+    left to node t, as it must on a full-finger ring when t owns the key.
 
-    `approved` is an optional verdict cache that one caller threads
-    through its calls, a list [base, length, paths]; [0, 0, None] starts
-    it empty. It holds the arc of the current owner, the keys base ..
-    base + length - 1 clockwise, and the set of paths already approved
-    toward that owner. A path equal to one in the set, toward a key in
-    the arc, is approved without a walk. This is exact: the verdict
-    depends only on the owner's key and the path, the set keeps every
+    `approved` holds the paths already approved toward t, and the caller
+    starts a fresh set for each owner. A path in the set passes without a
+    walk; a path that passes the walk joins it. This is exact: the
+    verdict depends only on t's key and the path, the set keeps every
     path in it alive and compares by equality, and a failing path is
-    never stored. An approval toward another owner replaces the arc and
-    the set, so the set holds at most one path per start node.
+    never stored.
     """
-    mask = net.size - 1
-    if approved is not None:
-        base, length, paths = approved
-        if (d - base) & mask < length and path in paths:
-            return True
+    if path in approved:
+        return True
     keys = net.node_keys
-    t = bisect_left(keys, d) % net.n
+    mask = net.size - 1
     tkey = keys[t]
     prev = (tkey - keys[path[0]]) & mask
     for addr in path[1:]:
@@ -414,14 +406,7 @@ def _halving_ok(net, d: int, path, approved=None) -> bool:
         if cur > prev // 2:
             return False
         prev = cur
-    if approved is not None:
-        if (d - base) & mask < length:
-            paths.add(path)
-        else:
-            # a new owner: its arc (predecessor key, owner key] and a set
-            # made only now, on its first approval
-            base = keys[t - 1] + 1
-            approved[:] = base, ((tkey - base) & mask) + 1, {path}
+    approved.add(path)
     return True
 
 
@@ -442,9 +427,9 @@ def run_chord_single(cfg: ExperimentConfig) -> ExperimentReport:
     per target carrying the worst hop count over starts; otherwise each
     trial samples one pair. Every lookup must answer correctly, use at
     most m hops, and halve the remaining distance on every hop. The
-    halving check still runs once per lookup, but keeps its verdict per
-    (owner, path): a path it has approved toward the current owner is
-    not walked again when the route memo hands it back.
+    halving check runs once per lookup, toward the owner `successor_of`
+    names, with one set of approved paths per owner: a path the route
+    memo hands back again toward the same owner is not walked again.
     """
     _require_ring(cfg, FULL)
     m, n, trials = cfg.m, cfg.n, cfg.trials
@@ -472,12 +457,12 @@ def run_chord_single(cfg: ExperimentConfig) -> ExperimentReport:
     rows: list[Row] = []
     add = _row_adder(cfg, rows, m=m, n=n)
     hop_total = 0
-    lookup = net.lookup
-    # the sweep meets each (owner, start) route 2**m / n times, so it keeps
-    # _halving_ok's verdicts; sampled pairs almost never repeat an owner,
-    # and there keeping them would only add work to every check
-    approved = [0, 0, None] if trials == 0 else None
+    lookup, successor_of = net.lookup, net.successor_of
+    owner = None
     for d, starts, label in groups:
+        t = successor_of(d)
+        if t != owner:
+            owner, approved = t, set()
         worst = 0
         for start in starts:
             _, correct, hops, path, error = lookup(d, start)
@@ -488,7 +473,7 @@ def run_chord_single(cfg: ExperimentConfig) -> ExperimentReport:
                 raise ExperimentFailure(
                     f"{hops} hops > m={m} for d={d} start={start}"
                 )
-            if not _halving_ok(net, d, path, approved):
+            if not _halving_ok(net, t, path, approved):
                 raise ExperimentFailure(
                     f"halving violated on path {path} for d={d}"
                 )

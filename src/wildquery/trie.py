@@ -31,6 +31,8 @@ class Trie:
     """
 
     def __init__(self, k: int, m: int):
+        if not (type(k) is int and type(m) is int):
+            refuse_non_int(k=k, m=m)
         if k < 2:
             raise ValueError(f"arity must be >= 2, got {k}")
         if m < 1:

@@ -355,8 +355,10 @@ def random_pattern(m: int, w: int, k: int, rng: random.Random) -> QueryPattern:
     result is below k. The pattern's `configuration` holds the drawn
     positions, so callers need not scan for them.
     """
-    if type(k) is not int or k < 1:
-        raise ValueError(f"need an int k >= 1, got {k!r}")
+    if type(k) is not int:
+        refuse_non_int(k=k)
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     positions = sample_configuration(m, w, rng)
     getrandbits = rng.getrandbits
     bits = k.bit_length()

@@ -13,8 +13,8 @@ from wildquery.analysis import (
     wildcard_position_pmf,
 )
 from wildquery.wildcard import enumerate_configurations, sample_configuration
-from wildquery.trie import complete_trie, random_trie
-from wildquery.wildcard import QueryPattern, backtracking_query
+from wildquery.trie import Trie, complete_trie, random_trie
+from wildquery.wildcard import QueryPattern, backtracking_query, random_pattern
 
 
 class TestConfigStepBound:
@@ -70,6 +70,18 @@ class TestConfigStepBound:
         (wildcard_position_pmf, (4, True, 1, 1), "w"),
         (enumerate_configurations, (True, True), "m"),
         (complete_trie, (True, 3), "k"),
+        # Trie took 2.0 with key_space 8.0 and said "arity must be >= 2,
+        # got True"; random_pattern said "need an int k >= 1" to both
+        (Trie, (2.0, 3), "k"),
+        (Trie, (2, True), "m"),
+        pytest.param(
+            random_pattern, (4, 1, 2.0, random.Random(0)), "k",
+            id="random_pattern-(4, 1, 2.0, rng)-'k'",
+        ),
+        pytest.param(
+            random_pattern, (4, 1, True, random.Random(0)), "k",
+            id="random_pattern-(4, 1, True, rng)-'k'",
+        ),
     ],
     ids=lambda v: v.__qualname__ if callable(v) else repr(v),
 )

@@ -233,18 +233,21 @@ class TestRunners:
         # keys 0, 4, 8, 12 on the 16-ring; the owner of d=0 is node 0,
         # 12 away from node 1 (key 4)
         net = ChordNetwork(4, [0, 4, 8, 12])
-        assert experiments._halving_ok(net, 0, (1,))
-        assert experiments._halving_ok(net, 0, (1, 3))  # 12 -> 4
-        assert not experiments._halving_ok(net, 0, (1, 2))  # 12 -> 8 > 6
-        assert not experiments._halving_ok(net, 0, (1, 3, 2))  # 4 -> 8
+        assert experiments._halving_ok(net, 0, (1,), set())
+        assert experiments._halving_ok(net, 0, (1, 3), set())  # 12 -> 4
+        assert not experiments._halving_ok(net, 0, (1, 2), set())  # 12 -> 8 > 6
+        assert not experiments._halving_ok(net, 0, (1, 3, 2), set())  # 4 -> 8
 
     @pytest.mark.parametrize("m, n", [(7, 16), (5, 2), (4, 16), (6, 3)])
     def test_kept_verdicts_agree_with_the_oracle_over_a_sweep(self, m, n):
-        # one cache threaded through the sweep order, with hand-made
-        # non-halving paths checked between the lookups' own paths
+        # one set per owner in the sweep order, with hand-made non-halving
+        # paths checked between the lookups' own paths
         net = ChordNetwork(m, random.Random(m * n).sample(range(1 << m), n))
-        approved = [0, 0, None]
+        owner = None
         for d in range(net.size):
+            t = net.successor_of(d)
+            if t != owner:
+                owner, approved = t, set()
             for start in range(n):
                 path = net.lookup(d, start).path
                 bad = [
@@ -253,25 +256,46 @@ class TestRunners:
                 ]
                 for p in (path, *bad, path):
                     assert experiments._halving_ok(
-                        net, d, p, approved
+                        net, t, p, approved
                     ) == reference_halving_ok(net, d, p)
-                base, length, paths = approved
-                assert len(paths) <= n
-                owner = (base + length - 1) % net.size
-                assert all(reference_halving_ok(net, owner, p) for p in paths)
+                assert len(approved) <= n
+                assert all(reference_halving_ok(net, d, p) for p in approved)
 
-    def test_a_kept_verdict_does_not_carry_across_owners(self):
+    @pytest.mark.parametrize("trials", [0, 50])
+    def test_runner_checks_toward_the_owner_with_a_set_per_owner(
+        self, monkeypatch, trials
+    ):
+        check = experiments._halving_ok
+        calls = []
+        lookup = ChordNetwork.lookup
+
+        def recording_lookup(net, d, start):
+            calls.append([net, d])
+            return lookup(net, d, start)
+
+        def recording(net, t, path, approved):
+            # the set itself, not just its id, so no id is reused
+            calls[-1] += [t, approved]
+            return check(net, t, path, approved)
+
+        monkeypatch.setattr(ChordNetwork, "lookup", recording_lookup)
+        monkeypatch.setattr(experiments, "_halving_ok", recording)
+        m, n = 6, 8
+        run_chord_single(cfg("chord-single", m=m, n=n, trials=trials))
+        assert len(calls) == ((1 << m) * n if trials == 0 else trials)
+        owners = {}
+        for net, d, t, approved in calls:
+            assert t == net.successor_of(d)
+            assert owners.setdefault(id(approved), t) == t
+        assert len(owners) > 1
         # keys 0, 4, 8, 12: (1, 3) goes 12 -> 4 toward key 0, but 4 -> 12
-        # toward key 8
+        # toward key 8, which a fresh set refuses
         net = ChordNetwork(4, [0, 4, 8, 12])
-        approved = [0, 0, None]
-        path = (1, 3)
-        assert experiments._halving_ok(net, 0, path, approved)
-        assert experiments._halving_ok(net, 13, path, approved)  # owner 0
-        assert approved[2] == {path}
-        assert not experiments._halving_ok(net, 8, path, approved)
-        assert not reference_halving_ok(net, 8, path)
-        assert experiments._halving_ok(net, 0, path, approved)
+        approved = set()
+        assert check(net, 0, (1, 3), approved)
+        assert approved == {(1, 3)}
+        assert not check(net, 2, (1, 3), set())
+        assert not reference_halving_ok(net, 8, (1, 3))
 
     def test_sweep_refuses_a_fresh_bad_path_on_a_repeated_route(
         self, monkeypatch
@@ -303,9 +327,9 @@ class TestRunners:
         check = experiments._halving_ok
         held = []
 
-        def counting(net, d, path, approved):
-            ok = check(net, d, path, approved)
-            held.append(len(approved[2]))
+        def counting(net, t, path, approved):
+            ok = check(net, t, path, approved)
+            held.append(len(approved))
             return ok
 
         monkeypatch.setattr(experiments, "_halving_ok", counting)
