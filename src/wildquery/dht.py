@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import PatternShapeError, SizeLimitError
@@ -64,14 +63,14 @@ class LookupOutcome(NamedTuple):
     error_case: bool
 
 
-# builds a LookupOutcome from a 5-tuple in C, with no __new__ frame
-_outcome = tuple.__new__
+# builds a LookupOutcome or RingQueryResult from a tuple in C, with no
+# __new__ frame
+_new = tuple.__new__
 # route memo of a network whose tables just changed: no owner, no routes
 _NO_ROUTES = (-1, None)
 
 
-@dataclass(frozen=True)
-class RingQueryResult:
+class RingQueryResult(NamedTuple):
     """A wildcard query resolved over the ring, key by key.
 
     Hop counts line up with `pattern.expansions(2)`, the protocol order
@@ -248,7 +247,7 @@ class ChordNetwork:
         truth = d in self._stored
         # the owner is start itself or its clockwise neighbor
         if start == t or start + 1 == t or start - t == n - 1:
-            return _outcome(LookupOutcome, (truth, True, 0, (start,), False))
+            return _new(LookupOutcome, (truth, True, 0, (start,), False))
 
         owner, routes = self._route_memo
         if owner != t:
@@ -279,8 +278,8 @@ class ChordNetwork:
 
         hops, path, error = route
         if error:  # answer absent
-            return _outcome(LookupOutcome, (False, not truth, hops, path, True))
-        return _outcome(LookupOutcome, (truth, True, hops, path, False))
+            return _new(LookupOutcome, (False, not truth, hops, path, True))
+        return _new(LookupOutcome, (truth, True, hops, path, False))
 
     def _check_lookup(self, d, start) -> tuple[int, int]:
         """Refuse a bad `lookup` argument by name; pass int subclasses on as ints."""
@@ -324,11 +323,9 @@ class ChordNetwork:
             if found:
                 matches.append(d)
             peer = path[-1]
-        return RingQueryResult(
-            matches=frozenset(matches),
-            per_key_hops=tuple(hops),
-            total_hops=sum(hops),
-            resolved=resolved,
+        return _new(
+            RingQueryResult,
+            (frozenset(matches), tuple(hops), sum(hops), resolved),
         )
 
     # -- introspection -----------------------------------------------------

@@ -43,9 +43,10 @@ class Trie:
         self.keys: list[int] | range = []
 
     def _check_key(self, key: int) -> None:
-        # a non-int key would compare fine and break the ascending-ints order
-        if not isinstance(key, int):
-            raise TypeError(f"key must be an int, got {key!r}")
+        # a non-int key would compare fine and break the ascending-ints
+        # order, and a bool is not a key
+        if type(key) is not int:
+            refuse_non_int(key=key)
         if not 0 <= key < self.key_space:
             raise KeyRangeError(
                 f"key {key} out of range for k={self.k}, m={self.m}"
@@ -80,14 +81,31 @@ def complete_trie(k: int, m: int) -> Trie:
 
 
 def random_trie(k: int, m: int, population: int, seed) -> Trie:
-    """Trie holding `population` distinct uniform keys, fixed by `seed`."""
+    """Trie holding `population` distinct uniform keys, fixed by `seed`.
+
+    The draws are a contract: the keys are
+    `sorted(random.Random(seed).sample(range(k**m), population))`. They
+    are drawn by `wildcard.sample_configuration(k**m, population, rng)`,
+    the one inlined copy of `sample`'s rule, whose positions 1..k**m
+    shifted down by one are those keys. A population over
+    MAX_TRIE_KEYS is refused before any draw.
+    """
     if not (type(k) is int and type(m) is int and type(population) is int):
         refuse_non_int(k=k, m=m, population=population)
+    if population > MAX_TRIE_KEYS:
+        raise SizeLimitError(
+            f"population {population} is over the limit {MAX_TRIE_KEYS} "
+            "trie keys"
+        )
     space = k**m
     if not 0 <= population <= space:
         raise ValueError(
             f"population {population} out of range for key space {space}"
         )
+    # wildcard imports this module, so its sampler is bound at call time
+    from .wildcard import sample_configuration
+
     trie = Trie(k, m)
-    trie.keys = sorted(random.Random(seed).sample(range(space), population))
+    positions = sample_configuration(space, population, random.Random(seed))
+    trie.keys = [x - 1 for x in positions]
     return trie

@@ -12,7 +12,10 @@ wildcard that still has letters left. Each edge crossed in either
 direction costs one step. The implementation does one bisect per decided
 key, not per edge: the keys are stored in sorted order, so the depth at
 which the walk toward an expansion leaves the trie is its longest common
-prefix with one of the two stored keys it sorts between.
+prefix with one of the two stored keys it sorts between. When k is a
+power of two, 2**b, every letter is a b-bit field, so that prefix is read
+off the bit length of the xor of the two keys; any other k finds it by
+integer division.
 
 Queries never mutate the trie, so any number may run in parallel against
 a frozen trie; each counts its own steps.
@@ -26,6 +29,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import PatternShapeError, SizeLimitError, refuse_non_int
 from .trie import Trie
@@ -159,8 +163,7 @@ class QueryPattern:
         return iter(keys)
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     """Outcome of one wildcard query against a trie.
 
     per_key_steps lines up with the expansion order; when one dead end
@@ -172,6 +175,10 @@ class QueryResult:
     matches: frozenset[int]
     steps: int
     per_key_steps: tuple[int, ...]
+
+
+# builds a QueryResult from a 3-tuple in C, with no __new__ frame
+_new = tuple.__new__
 
 
 def _check_pattern(trie: Trie, pattern: QueryPattern) -> None:
@@ -204,22 +211,35 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
     keys[i] or keys[i-1] for i = bisect_left(keys, t). The walk toward t
     therefore stops at the depth L of that prefix, after L - r steps down,
     and the climb to the next live wildcard at depth r' costs L - r'.
+
+    When k = 2**b, each letter is a b-bit field of the key, so a stored
+    key x shares exactly m - ceil((x ^ t).bit_length() / b) letters with
+    t: the highest differing bit lies in the letter that ends the prefix.
+    L then takes one xor and one `bit_length` per neighbour. Any other k
+    finds L by comparing x // k**j with t // k**j for growing j.
     """
     _check_pattern(trie, pattern)
     k, m = trie.k, trie.m
     keys = trie.keys
     n_keys = len(keys)
-    # power[j] = keys under one node at depth m - j; a key x agrees with t
-    # on the first m - j letters exactly when x // power[j] == t // power[j]
-    power = [k**j for j in range(m + 1)]
+    # b = bits per letter when k is a power of two, else 0
+    b = k.bit_length() - 1 if k & (k - 1) == 0 else 0
     # the wildcards by node depth (depth d picks its child by letter
     # symbols[d]), shallowest first, and the place value of their letter
-    depths = [d for d, s in enumerate(pattern.symbols) if s is None]
-    place = [power[m - 1 - d] for d in depths]
+    depths = [m - z for z in reversed(pattern.configuration)]
+    w = len(depths)
+    if b:
+        bm = b * m
+        place = [1 << b * (m - 1 - d) for d in depths]
+    else:
+        # power[j] = keys under one node at depth m - j; a key x agrees
+        # with t on the first m - j letters exactly when
+        # x // power[j] == t // power[j]
+        power = [k**j for j in range(m + 1)]
+        place = [power[m - 1 - d] for d in depths]
     t = 0  # the expansion being decided; all wildcards start at 0
     for s in pattern.symbols:
         t = t * k + (s or 0)
-    w = len(depths)
     letter = [0] * w
     per_key = [0] * k**w
     matches: set[int] = set()
@@ -230,6 +250,18 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
         if i < n_keys and keys[i] == t:
             depth = m
             matches.add(t)
+        elif b:
+            # the fewest trailing bits in which a neighbour differs from t,
+            # b * m when there is none; the walk stops m - ceil(bits / b)
+            # letters down
+            bits = bm
+            if i < n_keys:
+                bits = (keys[i] ^ t).bit_length()
+            if i:
+                below = (keys[i - 1] ^ t).bit_length()
+                if below < bits:
+                    bits = below
+            depth = (bm - bits) // b
         else:
             # j = the trailing letters of t that no stored key matches; the
             # key agreeing longest with t is keys[i] or keys[i - 1]
@@ -253,7 +285,7 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
         # a walk ending at this depth assigned the q shallowest wildcards;
         # the k**(w - q) keys that share them are decided together
         q = bisect_right(depths, depth)
-        decided += power[w - q]
+        decided += k ** (w - q)
 
         # reset exhausted wildcards, then climb to the deepest live one
         q -= 1
@@ -268,11 +300,7 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
         resume = depths[q]
         steps += depth - resume
 
-    return QueryResult(
-        matches=frozenset(matches),
-        steps=steps,
-        per_key_steps=tuple(per_key),
-    )
+    return _new(QueryResult, (frozenset(matches), steps, tuple(per_key)))
 
 
 def brute_force_query(trie: Trie, pattern: QueryPattern) -> set[int]:

@@ -9,7 +9,6 @@ The unit tests never run the benchmark, so a rename here would otherwise
 surface only as a broken traced run.
 """
 
-import dataclasses
 import importlib.util
 import inspect
 import random
@@ -19,7 +18,12 @@ from pathlib import Path
 from test_golden import GOLDEN
 
 from wildquery import experiments
-from wildquery.dht import ChordNetwork, LookupOutcome, build_network
+from wildquery.dht import (
+    ChordNetwork,
+    LookupOutcome,
+    RingQueryResult,
+    build_network,
+)
 from wildquery.trie import random_trie
 from wildquery.wildcard import QueryPattern, QueryResult, random_pattern
 
@@ -124,8 +128,7 @@ def test_result_fields_the_tracer_reads():
     # on_lookup reads hops, error_case and correct; on_query reads steps,
     # matches and per_key_steps
     assert {"hops", "error_case", "correct"} <= set(LookupOutcome._fields)
-    fields = {f.name for f in dataclasses.fields(QueryResult)}
-    assert {"steps", "matches", "per_key_steps"} <= fields
+    assert {"steps", "matches", "per_key_steps"} <= set(QueryResult._fields)
 
 
 def test_rows_expose_the_fields_perfbench_reads():
@@ -153,6 +156,7 @@ def test_query_takes_trie_and_pattern_and_charges_every_expansion():
     rng = random.Random(3)
     for _ in range(50):
         res = experiments.backtracking_query(trie, random_pattern(12, 4, 2, rng))
+        assert type(res) is QueryResult
         assert len(res.per_key_steps) == 2**4
         assert sum(res.per_key_steps) == res.steps
 
@@ -173,6 +177,7 @@ def test_wildcard_query_calls_lookup_once_per_expansion(monkeypatch):
     assert len(calls) == 8
     assert calls == list(pattern.expansions(2))
     assert len(res.per_key_hops) == 8
+    assert type(res) is RingQueryResult
 
 
 def test_emit_is_a_module_global_called_with_report_fmt_path(tmp_path):

@@ -325,28 +325,32 @@ def test_cpython_randrange_still_redraws_getrandbits_below_bound():
 
 
 def test_cpython_sample_still_picks_pool_or_set_by_setsize():
-    # sample_configuration (and so random_pattern) inlines CPython's
-    # Random.sample: the pool branch with its swap-from-the-end when
-    # n <= setsize, else redraws of randbelow(n) until an unpicked index.
-    # If this fails, a new Python changed that rule, and the draw, every
-    # trie-random, position-law and chord-wildcard digest must follow it.
+    # sample_configuration (and so random_pattern and random_trie) inlines
+    # CPython's Random.sample: the pool branch with its swap-from-the-end
+    # when n <= setsize, else redraws of randbelow(n) until an unpicked
+    # index. If this fails, a new Python changed that rule, and the draw,
+    # every trie-random (its tries and its patterns), position-law and
+    # chord-wildcard digest must follow it.
     branches = set()
+    # every small case, then one of random_trie's sizes per branch
+    cases = [(n, k) for n in range(100) for k in range(min(n, 40) + 1)]
+    cases += [(4096, 1024), (65536, 100)]
     for seed in (0, 7, "2|trial|5"):
         ref, rule = random.Random(seed), random.Random(seed)
-        for n in range(0, 100):
-            for k in range(0, min(n, 40) + 1):
-                got = ref.sample(range(n), k)
-                want = sample_by_rule(rule.getrandbits, n, k)
-                assert got == want, (
-                    f"Random.sample(range({n}), {k}) left CPython 3.11's "
-                    "pool/set rule that sample_configuration inlines"
-                )
-                setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
-                branches.add(n <= setsize)
+        for n, k in cases:
+            got = ref.sample(range(n), k)
+            want = sample_by_rule(rule.getrandbits, n, k)
+            assert got == want, (
+                f"Random.sample(range({n}), {k}) left CPython 3.11's "
+                "pool/set rule that sample_configuration, random_pattern "
+                "and random_trie inline"
+            )
+            setsize = 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+            branches.add((n <= setsize, n > 100))
         assert ref.getstate() == rule.getstate(), (
             "Random.sample consumed other bits than the pool/set rule"
         )
-    assert branches == {True, False}
+    assert branches == {(True, False), (False, False), (True, True), (False, True)}
 
 
 class TestLookup:

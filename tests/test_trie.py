@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +96,11 @@ def test_key_range_errors():
         trie.contains(-1)
     with pytest.raises(TypeError):
         trie.insert(1.5)
+    # a bool compares as 0 or 1 but is not a key
+    with pytest.raises(TypeError, match="key must be an int, got True"):
+        trie.insert(True)
+    with pytest.raises(TypeError, match="key must be an int, got False"):
+        trie.contains(False)
     assert list(trie.keys) == []
 
 
@@ -111,6 +119,33 @@ def test_random_trie_population_and_determinism():
 def test_random_trie_population_out_of_range():
     with pytest.raises(ValueError):
         random_trie(2, 4, 17, seed=0)
+
+
+def test_random_trie_size_limit():
+    # refused before any draw, so a population far past the limit costs
+    # nothing (a million picks at the limit take over a second)
+    with pytest.raises(SizeLimitError):
+        random_trie(2, 60, 1 << 40, seed=0)
+    with pytest.raises(SizeLimitError):
+        random_trie(2, 21, (1 << 20) + 1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "k,m,population,pool",
+    [(2, 12, 1024, True), (3, 5, 243, True), (2, 16, 50, False),
+     (2, 20, 1000, False), (2, 12, 0, False)],
+)
+def test_random_trie_makes_the_rng_sample_draws(k, m, population, pool):
+    # the keys are sorted(rng.sample(range(k**m), population)), on both of
+    # sample's branches: the pool when k**m is at most its setsize, else
+    # redraws until an unpicked index
+    setsize = 21
+    if population > 5:
+        setsize += 4 ** math.ceil(math.log(population * 3, 4))
+    assert (k**m <= setsize) == pool
+    for seed in (0, 7, "2|trie|5"):
+        want = sorted(random.Random(seed).sample(range(k**m), population))
+        assert random_trie(k, m, population, seed).keys == want
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)

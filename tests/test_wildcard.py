@@ -428,11 +428,13 @@ def _draw_trie(data, k: int, m: int) -> Trie:
 class TestPerDecisionSearch:
     """backtracking_query against the per-edge walk and the 2V - D count."""
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    # k = 2, 4 and 8 take the xor bit-length arm (b = 1, 2, 3 bits per
+    # letter), k = 3 and 5 the division arm
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 8])
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_equals_edge_walk_and_level_count(self, k, data):
-        m = data.draw(st.integers(1, {2: 8, 3: 5, 4: 4, 5: 4}[k]))
+        m = data.draw(st.integers(1, {2: 8, 3: 5, 4: 4, 5: 4, 8: 3}[k]))
         trie = _draw_trie(data, k, m)
         w = data.draw(st.integers(0, m))
         rng = random.Random(data.draw(st.integers(0, 2**20)))
@@ -443,6 +445,36 @@ class TestPerDecisionSearch:
         assert result.matches == want.matches
         assert result.steps == want.steps
         assert result.per_key_steps == want.per_key_steps
+        assert result.steps == steps_by_levels(trie, pattern)
+
+    # k = 4 letters are 2-bit fields; t = 0b10_01_10 spells "212", and each
+    # stored key differs from it first in the low bit of one letter, so
+    # its xor has an odd bit length and the walk stops above that letter
+    @pytest.mark.parametrize(
+        "keys,text,steps,per_key",
+        [
+            ([0b10_01_11], "212", 2, (2,)),  # last letter
+            ([0b10_00_10], "212", 1, (1,)),  # middle letter
+            ([0b11_01_10], "212", 0, (0,)),  # first letter
+            ([0b10_00_10, 0b10_01_11], "212", 2, (2,)),  # one each side
+            (
+                [0b10_00_10, 0b10_01_11, 0b00_01_11],
+                "2**",
+                9,
+                (2, 0, 1, 1, 2, 0, 0, 1, 2) + (0,) * 7,
+            ),
+        ],
+    )
+    def test_neighbour_off_by_the_low_bit_of_a_letter(
+        self, keys, text, steps, per_key
+    ):
+        trie = Trie(4, 3)
+        for key in keys:
+            trie.insert(key)
+        pattern = QueryPattern.from_string(text)
+        result = backtracking_query(trie, pattern)
+        assert result == edge_walk_query(trie, pattern)
+        assert (result.steps, result.per_key_steps) == (steps, per_key)
         assert result.steps == steps_by_levels(trie, pattern)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
