@@ -116,30 +116,62 @@ class ChordNetwork:
         self._build_tables()
 
     def successor_of(self, d: int) -> int:
-        """Address of the node owning key d, the first at or after d."""
+        """Address of the node owning key d, the first at or after d.
+
+        A bad key is refused as `lookup` refuses it.
+        """
+        if not (type(d) is int and 0 <= d < self.size):
+            d = self._check_key(d)
         return bisect_left(self.node_keys, d) % self.n
 
     def _build_tables(self) -> None:
-        """Build every node's fingers and hop candidates in one pass."""
+        """Build every node's fingers and hop candidates in one sorted pass.
+
+        Finger i (0-based here) is the owner of key + 2**i. While 2**i
+        fits in the gap to the successor, that owner is the successor, so
+        the first min(granted, gap.bit_length()) fingers take no bisect.
+
+        The candidate table lists the successor, the granted fingers and
+        the predecessor by clockwise offset from the node, each offset
+        once, 0 (the node itself) left out. No bisect is needed for that
+        order: a finger's offset never decreases with i and never passes
+        the predecessor's, until a target past the predecessor wraps back
+        to the node itself, which has offset 0, as does every later
+        finger. So the successor, then each further finger whose offset
+        exceeds the last one kept, then the predecessor if its offset does
+        too, is already sorted and distinct. On a 2-node ring the
+        predecessor is the successor and is kept once.
+        """
         n, m, mask = self.n, self.m, self.size - 1
         keys = self.node_keys
-        full = self.finger_mode == FULL
+        loads = None if self.finger_mode == FULL else self.loads
         fingers, table_addrs, table_offs = [], [], []
         for addr, key in enumerate(keys):
-            granted = m if full else min(m, self.loads[addr])
-            node_fingers = tuple(
-                bisect_left(keys, (key + (1 << i)) & mask) % n
-                for i in range(granted)
-            )
-            by_off = {
-                (keys[u] - key) & mask: u
-                for u in ((addr + 1) % n, (addr - 1) % n, *node_fingers)
-            }
-            by_off.pop(0, None)  # moving to oneself is not a hop
-            offs = sorted(by_off)
-            fingers.append(node_fingers)
+            granted = m if loads is None else min(m, loads[addr])
+            succ = addr + 1 if addr + 1 < n else 0
+            last = gap = (keys[succ] - key) & mask
+            near = min(granted, gap.bit_length())
+            node_fingers = [succ] * near
+            offs = [gap]
+            addrs = [succ]
+            for i in range(near, granted):
+                f = bisect_left(keys, (key + (1 << i)) & mask)
+                if f == n:
+                    f = 0
+                node_fingers.append(f)
+                off = (keys[f] - key) & mask
+                if off > last:
+                    offs.append(off)
+                    addrs.append(f)
+                    last = off
+            pred = addr - 1 if addr else n - 1
+            off = (keys[pred] - key) & mask
+            if off > last:
+                offs.append(off)
+                addrs.append(pred)
+            fingers.append(tuple(node_fingers))
             table_offs.append(offs)
-            table_addrs.append([by_off[off] for off in offs])
+            table_addrs.append(addrs)
         self.fingers = fingers
         self._table_addrs = table_addrs
         self._table_offs = table_offs
@@ -281,17 +313,30 @@ class ChordNetwork:
             return _new(LookupOutcome, (False, not truth, hops, path, True))
         return _new(LookupOutcome, (truth, True, hops, path, False))
 
-    def _check_lookup(self, d, start) -> tuple[int, int]:
-        """Refuse a bad `lookup` argument by name; pass int subclasses on as ints."""
-        if not isinstance(d, int):
+    def _check_key(self, d) -> int:
+        """Refuse a bad data key by name; return it as a plain int.
+
+        A bool is refused like any other non-int, as every public int
+        parameter refuses it; another int subclass passes on as an int.
+        """
+        if type(d) is bool or not isinstance(d, int):
             raise TypeError(f"data key must be an int, got {d!r}")
-        if not isinstance(start, int):
-            raise TypeError(f"start node must be an int, got {start!r}")
         if not 0 <= d < self.size:
             raise ValueError(f"data key {d} outside the ring")
+        return int(d)
+
+    def _check_lookup(self, d, start) -> tuple[int, int]:
+        """Refuse a bad `lookup` argument by name, the key first.
+
+        Both follow `_check_key`'s rule: a bool is refused, another int
+        subclass passes on as an int.
+        """
+        d = self._check_key(d)
+        if type(start) is bool or not isinstance(start, int):
+            raise TypeError(f"start node must be an int, got {start!r}")
         if not 0 <= start < self.n:
             raise ValueError(f"bad start node {start!r}")
-        return int(d), int(start)
+        return d, int(start)
 
     def wildcard_query(self, pattern: QueryPattern, start: int) -> RingQueryResult:
         """Resolve every expansion of a binary pattern over the ring.

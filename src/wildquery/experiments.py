@@ -565,6 +565,15 @@ def run_chord_decay(cfg: ExperimentConfig) -> ExperimentReport:
     entries, 20 derived seeds each, cfg.trials lookups of stored keys per
     seed. The aggregated error rate must be non-increasing in C and zero
     at the top; non-error lookups must finish within m hops.
+
+    The lookup draws are a contract: per lookup, the generator
+    `_rng(seed, "lookups", C, s)` makes one `choice(stored)` for the key,
+    then one `randrange(n)` for the start node. The loop inlines the rule
+    CPython's `choice` and `randrange(x)` follow, redrawing
+    `getrandbits(x.bit_length())` until the result is below x (x being
+    len(stored), then n), so it consumes the same bits in the same order.
+    The oracle test in tests/test_experiments.py replays the `Random`
+    methods and pins it.
     """
     _require_ring(cfg, ENTRY_BOUND, min_m=4)
     m, n, per_seed = cfg.m, cfg.n, cfg.trials
@@ -576,6 +585,7 @@ def run_chord_decay(cfg: ExperimentConfig) -> ExperimentReport:
     )
 
     factors = [1 << i for i in range(cfg.entries_factor.bit_length())]
+    n_bits = n.bit_length()
 
     # rows carry the reference exp(-C*m/2) as their bound, but no ratio
     rows: list[Row] = []
@@ -591,18 +601,27 @@ def run_chord_decay(cfg: ExperimentConfig) -> ExperimentReport:
             net.distribute_entries(
                 factor * m * n, f"{cfg.seed}|entries|{factor}|{s}"
             )
+            # never empty: the factor is at least 1, so C*m*n >= 1 entries
+            # were placed (an empty list would redraw getrandbits(0) forever)
             stored = net.stored_keys()
-            rng = _rng(cfg.seed, "lookups", factor, s)
+            n_stored = len(stored)
+            d_bits = n_stored.bit_length()
+            getrandbits = _rng(cfg.seed, "lookups", factor, s).getrandbits
             errors = 0
             for _ in range(per_seed):
-                d = rng.choice(stored)
-                out = net.lookup(d, rng.randrange(n))
-                if not out.error_case and out.hops > m:
+                i = getrandbits(d_bits)
+                while i >= n_stored:
+                    i = getrandbits(d_bits)
+                start = getrandbits(n_bits)
+                while start >= n:
+                    start = getrandbits(n_bits)
+                _, correct, hops, _, error = net.lookup(stored[i], start)
+                if not error and hops > m:
                     raise ExperimentFailure(
-                        f"non-error lookup took {out.hops} > m hops at "
+                        f"non-error lookup took {hops} > m hops at "
                         f"C={factor}, seed {s}"
                     )
-                errors += not out.correct
+                errors += not correct
             errors_at_factor += errors
             add(f"C={factor}/seed={s}", errors / per_seed, reference)
         rates[factor] = errors_at_factor / (DECAY_SEEDS * per_seed)

@@ -187,14 +187,62 @@ class TestConstruction:
                 )
                 assert finger == want
 
+    @staticmethod
+    def assert_tables_match_ring_scan(net):
+        # a node's hop candidates are its successor, its predecessor and
+        # its granted fingers, each found by scanning the ring, listed once
+        # in order of clockwise offset, the node itself (offset 0) left out
+        TestConstruction.assert_fingers_match_ring_scan(net)
+        keys, size = net.node_keys, net.size
+        for addr in range(net.n):
+            def offset(u):
+                return (keys[u] - keys[addr]) % size
+
+            others = [u for u in range(net.n) if u != addr]
+            succ, pred = min(others, key=offset), max(others, key=offset)
+            by_off = {offset(u): u for u in (succ, pred, *net.fingers[addr])}
+            by_off.pop(0, None)
+            offs = sorted(by_off)
+            assert net._table_offs[addr] == offs, addr
+            assert net._table_addrs[addr] == [by_off[off] for off in offs], addr
+
+    @pytest.mark.parametrize("mode", [FULL, ENTRY_BOUND])
+    @pytest.mark.parametrize(
+        "m, keys, wraps",
+        [
+            (1, [0, 1], False),  # m=1, n=2: the successor is the predecessor
+            (6, [5, 40], True),  # a finger past the other node wraps
+            (3, list(range(8)), False),  # n = 2**m, every key taken
+            (4, list(range(16)), False),
+            # clustered keys: high fingers pass the predecessor and wrap
+            # back to the node itself
+            (8, [0, 1, 2, 3], True),
+            (10, [3, 9, 10, 700, 701, 703], True),
+            (12, random.Random(3).sample(range(4096), 40), False),
+        ],
+        ids=["m1-n2", "n2", "m3-every-key", "m4-every-key", "cluster",
+             "two-clusters", "sparse"],
+    )
+    def test_tables_match_ring_scan_oracle(self, m, keys, wraps, mode):
+        net = ChordNetwork(m, keys, mode)
+        n = net.n
+        self.assert_tables_match_ring_scan(net)
+        wrapped = 0
+        # refills of one ring: sparse, dense, past m per node, then sparse
+        for count in (n, 3 * n, 4 * m * n, 1):
+            net.distribute_entries(count, seed=count)
+            self.assert_tables_match_ring_scan(net)
+            wrapped += sum(a in f for a, f in enumerate(net.fingers))
+        assert bool(wrapped) == wraps
+
     def test_fingers_match_ring_scan_oracle(self):
-        self.assert_fingers_match_ring_scan(build_network(40, 10, seed=5))
+        self.assert_tables_match_ring_scan(build_network(40, 10, seed=5))
         net = build_network(40, 10, seed=5, finger_mode=ENTRY_BOUND)
         # refills of one ring at growing loads: no fingers at 0, then
         # more nodes granted more fingers, up to a mean load past m
         for count in range(0, 601, 20):
             net.distribute_entries(count, seed=count)
-            self.assert_fingers_match_ring_scan(net)
+            self.assert_tables_match_ring_scan(net)
             # the refill's rebuild must equal a rebuild of a fresh ring
             fresh = ChordNetwork(net.m, net.node_keys, ENTRY_BOUND)
             fresh.loads = list(net.loads)
@@ -307,10 +355,11 @@ class TestEntries:
 
 
 def test_cpython_randrange_still_redraws_getrandbits_below_bound():
-    # The ring fill assumes Random.randrange(x) is CPython's
-    # _randbelow_with_getrandbits: redraw getrandbits(x.bit_length())
-    # until the result is below x. If this fails, a new Python changed
-    # that rule, and the fill and every ring digest must follow it.
+    # The ring fill and chord-decay's lookup draws assume Random.randrange(x)
+    # and Random.choice(seq) are CPython's _randbelow_with_getrandbits:
+    # redraw getrandbits(x.bit_length()) until the result is below x
+    # (x = len(seq) for choice). If this fails, a new Python changed that
+    # rule, and the fill, chord-decay and every ring digest must follow it.
     for seed in (0, 7, "3|entries|1"):
         ref, rule = random.Random(seed), random.Random(seed)
         for x in range(1, 4097):
@@ -319,6 +368,11 @@ def test_cpython_randrange_still_redraws_getrandbits_below_bound():
                   (1 << 24) - 1, 1 << MAX_RING_BITS):
             for _ in range(20):
                 assert ref.randrange(x) == below_by_redraw(rule.getrandbits, x)
+        # chord-decay inlines Random.choice(seq) as seq[randrange(len(seq))]
+        for x in (*range(1, 300), 4096, 4097, 8191, 8192, 12287):
+            seq = range(x)
+            got = ref.choice(seq)
+            assert got == seq[below_by_redraw(rule.getrandbits, x)], x
         # both streams consumed the same bits
         assert ref.getstate() == rule.getstate()
 
@@ -498,13 +552,41 @@ class TestLookup:
             (13, 2.0, "start node"), (17, 0.5, "start node"),
             (1.5, 0, "data key"), ("13", 0, "data key"),
             (None, 0, "data key"), (13, "0", "start node"),
+            # a bool routed as key 1 or started at node 1
+            (True, 1, "data key"), (False, 0, "data key"),
+            (1, True, "start node"), (13, False, "start node"),
         ]:
-            with pytest.raises(TypeError, match=name):
+            with pytest.raises(TypeError, match=f"^{name} must be an int"):
                 net.lookup(d, start)
-        # an int subclass is an int, and the outcome carries plain ints
-        out = net.lookup(True, True)
+
+        # another int subclass is an int, and the outcome carries plain ints
+        class Key(int):
+            pass
+
+        out = net.lookup(Key(1), Key(1))
         assert out == net.lookup(1, 1)
         assert all(type(a) is int for a in out.path)
+
+    def test_successor_of_refuses_a_bad_key_as_lookup_does(self):
+        # 2.0 answered node 1, and True, -5 and 10**9 answered node 0
+        net = build_network(8, 4, 1)
+        for d, error, message in [
+            (2.0, TypeError, "data key must be an int, got 2.0"),
+            (True, TypeError, "data key must be an int, got True"),
+            ("3", TypeError, "data key must be an int, got '3'"),
+            (-5, ValueError, "data key -5 outside the ring"),
+            (16, ValueError, "data key 16 outside the ring"),
+            (10**9, ValueError, f"data key {10**9} outside the ring"),
+        ]:
+            with pytest.raises(error, match=f"^{message}$"):
+                net.successor_of(d)
+            with pytest.raises(error, match=f"^{message}$"):
+                net.lookup(d, 0)
+        for d in range(net.size):
+            want = min(
+                range(net.n), key=lambda a: (net.node_keys[a] - d) % net.size
+            )
+            assert net.successor_of(d) == want
 
     @pytest.mark.parametrize("mode", [FULL, ENTRY_BOUND])
     @pytest.mark.parametrize("n", [2, 3, 64])

@@ -18,7 +18,7 @@ from test_golden import GOLDEN, _case_id
 from wildquery import experiments
 from wildquery import cli
 from wildquery.cli import DEFAULTS, build_parser, config_from_args, main
-from wildquery.dht import FULL, ChordNetwork
+from wildquery.dht import ENTRY_BOUND, FULL, ChordNetwork, build_network
 from wildquery.experiments import (
     MAX_ENTRIES_FACTOR,
     MAX_TRIE_KEYS,
@@ -373,6 +373,47 @@ class TestRunners:
         assert list(rates) == ["1", "2", "4"]
         assert rates["1"] >= rates["2"] >= rates["4"] == 0.0
         assert report.aggregates["monotone_non_increasing"]
+
+    # n = 64 is a power of two, so randrange(n) rejects about half its 7-bit
+    # draws; n = 48 rejects a quarter of its 6-bit ones
+    @pytest.mark.parametrize("n", [64, 48])
+    def test_chord_decay_makes_the_choice_and_randrange_draws(
+        self, n, monkeypatch
+    ):
+        # the runner's lookups, in order, against rng.choice(stored) then
+        # rng.randrange(n) replayed from each (C, s) generator
+        m, factor = 12, 4
+        seen = []
+        real_lookup = ChordNetwork.lookup
+
+        def recording_lookup(net, d, start):
+            seen.append((d, start))
+            return real_lookup(net, d, start)
+
+        monkeypatch.setattr(ChordNetwork, "lookup", recording_lookup)
+        trials = 40
+        run_chord_decay(
+            cfg("chord-decay", m=m, n=n, trials=trials, entries_factor=factor,
+                mode="entry-bound")
+        )
+        monkeypatch.undo()
+
+        want = []
+        stored_lengths = set()
+        for f in [1 << i for i in range(factor.bit_length())]:
+            for s in range(experiments.DECAY_SEEDS):
+                net = build_network(n, m, f"7|net|{f}|{s}", ENTRY_BOUND)
+                net.distribute_entries(f * m * n, f"7|entries|{f}|{s}")
+                stored = net.stored_keys()
+                stored_lengths.add(len(stored))
+                rng = experiments._rng(7, "lookups", f, s)
+                for _ in range(trials):
+                    d = rng.choice(stored)
+                    want.append((d, rng.randrange(n)))
+        assert seen == want
+        assert any(x & (x - 1) for x in stored_lengths), (
+            "every len(stored) was a power of two"
+        )
 
     @pytest.mark.parametrize(
         "name, mode",
