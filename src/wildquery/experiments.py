@@ -133,6 +133,15 @@ def _config_label(positions) -> str:
     return "+".join(map(str, positions)) if positions else "-"
 
 
+class _ConfigLabels(dict):
+    """positions -> row label, made on first use, so the rows of one
+    configuration share one string."""
+
+    def __missing__(self, positions):
+        param = self[positions] = _config_label(positions)
+        return param
+
+
 def _row_adder(cfg, rows, m=None, w=None, k=None, n=None, with_ratio=True):
     """Return add(param, measured, bound), which appends a Row numbered by
     its index in `rows`. `bound` is an int or a Fraction. Runners raise
@@ -267,6 +276,7 @@ def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
     trie_block = -1
     rows: list[Row] = []
     add = _row_adder(cfg, rows, m=m, w=w, k=k)
+    params = _ConfigLabels()
     rng, label = _trial_rng(cfg.seed)
     for trial in range(trials):
         block = trial * trie_count // trials
@@ -282,7 +292,7 @@ def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
             raise ExperimentFailure(
                 f"steps {steps} > bound {bound} at trial {trial}"
             )
-        add(_config_label(positions), steps, bound)
+        add(params[positions], steps, bound)
     samples = [row.measured for row in rows]
     mean = statistics.fmean(samples)
     sem = (
@@ -515,6 +525,7 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
     sharp_keys = 0
     # expansion c > 0 flips the wildcard of this rank from its predecessor
     flips = [(c, ((c - 1) ^ c).bit_length() - 1) for c in range(1, 1 << w)]
+    params = _ConfigLabels()
     rng, label = _trial_rng(cfg.seed)
     for trial in range(trials):
         rng.seed(label + str(trial))
@@ -529,7 +540,7 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
             raise ExperimentFailure(
                 f"total hops {res.total_hops} > bound {bound} at trial {trial}"
             )
-        add(_config_label(positions), res.total_hops, bound)
+        add(params[positions], res.total_hops, bound)
         # how often the idealized one-hop-per-bit accounting held exactly
         hops = res.per_key_hops
         for c, rank in flips:

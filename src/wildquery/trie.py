@@ -20,6 +20,22 @@ from .errors import KeyRangeError, SizeLimitError, refuse_non_int
 
 # desk-scale ceiling on trie keys; the trie runners apply it too
 MAX_TRIE_KEYS = 1 << 20
+# desk-scale ceiling on the bits of a key, m * (k - 1).bit_length()
+MAX_KEY_BITS = 1 << 12
+
+
+def _require_key_bits(k: int, m: int) -> None:
+    """Refuse a key space whose keys may take over MAX_KEY_BITS bits.
+
+    k <= 2**bits for bits = (k - 1).bit_length(), so k**m - 1 fits in
+    m * bits bits; the test is O(1), so it runs before any k**m, whose
+    cost grows with m.
+    """
+    if m * (k - 1).bit_length() > MAX_KEY_BITS:
+        raise SizeLimitError(
+            f"keys of k={k}, m={m} may take {m * (k - 1).bit_length()} "
+            f"bits, over the limit {MAX_KEY_BITS}"
+        )
 
 
 class Trie:
@@ -37,6 +53,7 @@ class Trie:
             raise ValueError(f"arity must be >= 2, got {k}")
         if m < 1:
             raise ValueError(f"depth must be >= 1, got {m}")
+        _require_key_bits(k, m)
         self.k = k
         self.m = m
         self.key_space = k**m
@@ -70,6 +87,7 @@ def complete_trie(k: int, m: int) -> Trie:
     """Trie containing every key in [0, k**m)."""
     if not (type(k) is int and type(m) is int):
         refuse_non_int(k=k, m=m)
+    _require_key_bits(k, m)
     if k**m > MAX_TRIE_KEYS:
         raise SizeLimitError(
             f"complete trie k={k}, m={m} has {k ** m} keys, "
@@ -88,10 +106,12 @@ def random_trie(k: int, m: int, population: int, seed) -> Trie:
     are drawn by `wildcard.sample_configuration(k**m, population, rng)`,
     the one inlined copy of `sample`'s rule, whose positions 1..k**m
     shifted down by one are those keys. A population over
-    MAX_TRIE_KEYS is refused before any draw.
+    MAX_TRIE_KEYS, or keys over MAX_KEY_BITS bits, are refused before
+    any draw.
     """
     if not (type(k) is int and type(m) is int and type(population) is int):
         refuse_non_int(k=k, m=m, population=population)
+    _require_key_bits(k, m)
     if population > MAX_TRIE_KEYS:
         raise SizeLimitError(
             f"population {population} is over the limit {MAX_TRIE_KEYS} "

@@ -17,8 +17,21 @@ power of two, 2**b, every letter is a b-bit field, so that prefix is read
 off the bit length of the xor of the two keys; any other k finds it by
 integer division.
 
+The rest of the search's control flow depends only on k, m and the
+wildcard configuration, so it comes from a plan of three tables built
+once per configuration: `span[d]` expansions are decided by a walk that
+ends at depth d, `offset[c]` holds the wildcard letters of expansion c,
+and `resume[c]` is the depth of the wildcard that expansion c bumped.
+The offsets ascend with c, so each target's bisect starts where the
+last one ended. Plans of at most MAX_CACHED_EXPANSIONS expansions are
+memoized in a `functools.lru_cache` of PLAN_CACHE_SIZE entries; a larger
+plan is built per call, so no cached plan holds more than
+2 * MAX_CACHED_EXPANSIONS + m + 1 entries.
+
 Queries never mutate the trie, so any number may run in parallel against
-a frozen trie; each counts its own steps.
+a frozen trie; each counts its own steps. Plans are immutable tuples and
+`lru_cache` keeps its own state consistent, so concurrent queries may
+share them.
 """
 
 from __future__ import annotations
@@ -28,7 +41,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .errors import PatternShapeError, SizeLimitError, refuse_non_int
@@ -39,6 +52,9 @@ Configuration = tuple[int, ...]
 # desk-scale ceilings of the brute-force oracle and of configuration lists
 MAX_EXPANSIONS = 1 << 12
 MAX_CONFIGURATIONS = 1 << 20
+# the search memoizes plans of at most this many expansions, this many plans
+MAX_CACHED_EXPANSIONS = 64
+PLAN_CACHE_SIZE = 1024
 
 WILDCARD_CHAR = "*"
 
@@ -67,7 +83,9 @@ class QueryPattern:
         if not self.symbols:
             raise PatternShapeError("empty pattern")
         for s in self.symbols:
-            if s is not None and (
+            # the exact-type test passes a plain letter; only what fails
+            # it pays for the subclass-aware refusal
+            if s is not None and not (type(s) is int and s >= 0) and (
                 isinstance(s, bool) or not isinstance(s, int) or s < 0
             ):
                 raise PatternShapeError(f"pattern letter must be an int >= 0: {s!r}")
@@ -181,16 +199,56 @@ class QueryResult(NamedTuple):
 _new = tuple.__new__
 
 
-def _check_pattern(trie: Trie, pattern: QueryPattern) -> None:
+def _check_pattern(trie: Trie, pattern: QueryPattern) -> int:
+    """Refuse a pattern that does not fit `trie`, else return its first
+    expansion: the key with every wildcard at letter 0."""
     if pattern.m != trie.m:
         raise PatternShapeError(
             f"pattern length {pattern.m} does not match trie depth {trie.m}"
         )
+    k = trie.k
+    base = 0
     for s in pattern.symbols:
-        if s is not None and s >= trie.k:
+        if s is None:
+            base *= k
+        elif s < k:
+            base = base * k + s
+        else:
             raise PatternShapeError(
-                f"pattern letter {s} outside trie alphabet 0..{trie.k - 1}"
+                f"pattern letter {s} outside trie alphabet 0..{k - 1}"
             )
+    return base
+
+
+def _build_plan(m: int, k: int, configuration: Configuration):
+    """The search's control flow for one configuration: (span, offset, resume).
+
+    - `span[d]`, d = 0..m: k**(w - q) for the q wildcards at depths <= d,
+      the expansions that a walk ending at depth d decides at once;
+    - `offset[c]`: the wildcard letters of expansion c as a key, which is
+      `expansions(k)` with every fixed letter 0, strictly ascending in c;
+    - `resume[c]`: the depth m - z of the wildcard that expansion c bumped,
+      its least significant nonzero letter (0 for c = 0, the first walk).
+
+    Offsets and resume depths are built by list doubling like
+    `expansions`, least significant wildcard first: each further letter
+    of the next wildcard repeats the block so far, and the block's first
+    expansion is the one that bumps it.
+    """
+    offset = [0]
+    resume = [0]
+    for z in configuration:
+        weight = k ** (z - 1)
+        offset += [x + a * weight for a in range(1, k) for x in offset]
+        resume += ([m - z] + resume[1:]) * (k - 1)
+    # the wildcards at depths <= d are those at positions z >= m - d
+    span = [k ** sum(z < m - d for z in configuration) for d in range(m + 1)]
+    return tuple(span), tuple(offset), tuple(resume)
+
+
+# one memo for the whole process; backtracking_query sends it only plans
+# of at most MAX_CACHED_EXPANSIONS expansions
+_cached_plan = lru_cache(maxsize=PLAN_CACHE_SIZE)(_build_plan)
 
 
 def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
@@ -217,36 +275,40 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
     t: the highest differing bit lies in the letter that ends the prefix.
     L then takes one xor and one `bit_length` per neighbour. Any other k
     finds L by comparing x // k**j with t // k**j for growing j.
+
+    Everything else comes from the configuration's plan (`_build_plan`):
+    decision c targets t = base + offset[c], a walk ending at depth L
+    moves c on by span[L], and the next walk resumes at resume[c]. The
+    targets ascend with c, so each bisect starts at the last one's index.
+    Plans of at most MAX_CACHED_EXPANSIONS expansions come from an
+    `lru_cache` of PLAN_CACHE_SIZE entries, which keeps its own state
+    consistent under concurrent queries; a larger one is built for the
+    call alone.
     """
-    _check_pattern(trie, pattern)
+    base = _check_pattern(trie, pattern)
     k, m = trie.k, trie.m
+    configuration = pattern.configuration
+    total = k ** len(configuration)
+    plan = _cached_plan if total <= MAX_CACHED_EXPANSIONS else _build_plan
+    span, offset, resume_at = plan(m, k, configuration)
     keys = trie.keys
     n_keys = len(keys)
     # b = bits per letter when k is a power of two, else 0
     b = k.bit_length() - 1 if k & (k - 1) == 0 else 0
-    # the wildcards by node depth (depth d picks its child by letter
-    # symbols[d]), shallowest first, and the place value of their letter
-    depths = [m - z for z in reversed(pattern.configuration)]
-    w = len(depths)
     if b:
         bm = b * m
-        place = [1 << b * (m - 1 - d) for d in depths]
     else:
         # power[j] = keys under one node at depth m - j; a key x agrees
         # with t on the first m - j letters exactly when
         # x // power[j] == t // power[j]
         power = [k**j for j in range(m + 1)]
-        place = [power[m - 1 - d] for d in depths]
-    t = 0  # the expansion being decided; all wildcards start at 0
-    for s in pattern.symbols:
-        t = t * k + (s or 0)
-    letter = [0] * w
-    per_key = [0] * k**w
+    per_key = [0] * total
     matches: set[int] = set()
-    steps = charged = resume = decided = 0
+    c = i = last = resume = 0
 
     while True:
-        i = bisect_left(keys, t)
+        t = base + offset[c]
+        i = bisect_left(keys, t, i)
         if i < n_keys and keys[i] == t:
             depth = m
             matches.add(t)
@@ -279,28 +341,16 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
                 if below < j:
                     j = below
             depth = m - j
-        steps += depth - resume
-        per_key[decided] = steps - charged
-        charged = steps
-        # a walk ending at this depth assigned the q shallowest wildcards;
-        # the k**(w - q) keys that share them are decided together
-        q = bisect_right(depths, depth)
-        decided += k ** (w - q)
-
-        # reset exhausted wildcards, then climb to the deepest live one
-        q -= 1
-        while q >= 0 and letter[q] == k - 1:
-            letter[q] = 0
-            t -= (k - 1) * place[q]
-            q -= 1
-        if q < 0:
+        # the climb from the last walk's end to the resume depth, then
+        # the walk down from there
+        per_key[c] = last + depth - 2 * resume
+        c += span[depth]
+        if c == total:
             break
-        letter[q] += 1
-        t += place[q]
-        resume = depths[q]
-        steps += depth - resume
+        resume = resume_at[c]
+        last = depth
 
-    return _new(QueryResult, (frozenset(matches), steps, tuple(per_key)))
+    return _new(QueryResult, (frozenset(matches), sum(per_key), tuple(per_key)))
 
 
 def brute_force_query(trie: Trie, pattern: QueryPattern) -> set[int]:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildquery.errors import KeyRangeError, SizeLimitError
-from wildquery.trie import Trie, complete_trie, random_trie
+from wildquery.trie import MAX_KEY_BITS, Trie, complete_trie, random_trie
 from wildquery.wildcard import QueryPattern, backtracking_query
 
 
@@ -128,6 +128,32 @@ def test_random_trie_size_limit():
         random_trie(2, 60, 1 << 40, seed=0)
     with pytest.raises(SizeLimitError):
         random_trie(2, 21, (1 << 20) + 1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda k, m: Trie(k, m),
+        lambda k, m: complete_trie(k, m),
+        lambda k, m: random_trie(k, m, 5, seed=0),
+    ],
+    ids=["Trie", "complete_trie", "random_trie"],
+)
+def test_key_bits_limit_before_the_key_space(make):
+    # 3**(10**6) alone takes about 0.1 s; the guard reads only bit lengths
+    with pytest.raises(SizeLimitError, match="2000000 bits"):
+        make(3, 10**6)
+    with pytest.raises(SizeLimitError):
+        make(2, MAX_KEY_BITS + 1)
+    with pytest.raises(SizeLimitError):
+        make(1 << MAX_KEY_BITS, 2)
+
+
+def test_key_bits_limit_admits_its_edge():
+    assert Trie(2, MAX_KEY_BITS).key_space == 1 << MAX_KEY_BITS
+    assert Trie(4, MAX_KEY_BITS // 2).key_space == 1 << MAX_KEY_BITS
+    trie = random_trie(2, MAX_KEY_BITS, 3, seed=0)
+    assert len(trie.keys) == 3 and trie.keys[-1] < 1 << MAX_KEY_BITS
 
 
 @pytest.mark.parametrize(

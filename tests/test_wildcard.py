@@ -11,8 +11,12 @@ from wildquery.analysis import config_step_bound
 from wildquery.errors import PatternShapeError, SizeLimitError
 from wildquery.trie import Trie, complete_trie, random_trie
 from wildquery.wildcard import (
+    MAX_CACHED_EXPANSIONS,
+    PLAN_CACHE_SIZE,
     QueryPattern,
     QueryResult,
+    _build_plan,
+    _cached_plan,
     _check_pattern,
     backtracking_query,
     brute_force_query,
@@ -218,6 +222,17 @@ class TestPattern:
     def test_letters_must_be_non_negative_ints(self, symbols):
         with pytest.raises(PatternShapeError):
             QueryPattern(symbols)
+
+    def test_int_subclass_letters(self):
+        # the exact-int fast test fails them, the isinstance check decides
+        class Letter(int):
+            pass
+
+        assert QueryPattern((Letter(1), None)).symbols == (1, None)
+        with pytest.raises(PatternShapeError, match=r"int >= 0: -1"):
+            QueryPattern((Letter(-1), None))
+        with pytest.raises(PatternShapeError, match=r"int >= 0: True"):
+            QueryPattern((1, None, True))
 
 
 class TestConfigurations:
@@ -491,3 +506,77 @@ class TestPerDecisionSearch:
                 assert result == edge_walk_query(trie, pattern)
                 assert result.steps == steps_by_levels(trie, pattern)
                 assert result.matches == brute_force_query(trie, pattern)
+
+
+def _third_full_trie(k: int, m: int, seed: int) -> Trie:
+    return random_trie(k, m, k**m // 3, seed=seed)
+
+
+class TestSearchPlan:
+    """The per-configuration tables and their bounded memo."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_tables_against_their_definitions(self, k):
+        m = {2: 6, 3: 4, 4: 3}[k]
+        rng = random.Random(k)
+        for w in range(m + 1):
+            for positions in enumerate_configurations(m, w):
+                letters = [rng.randrange(k) for _ in range(m - w)]
+                pattern = QueryPattern.from_configuration(m, positions, letters)
+                base = _check_pattern(Trie(k, m), pattern)
+                span, offset, resume = _build_plan(m, k, positions)
+                # the targets are the expansions, strictly ascending, which
+                # the bisect hint relies on
+                assert [base + x for x in offset] == list(pattern.expansions(k))
+                assert all(a < b for a, b in zip(offset, offset[1:]))
+                for d in range(m + 1):
+                    assigned = sum(m - z <= d for z in positions)
+                    assert span[d] == k ** (w - assigned)
+                assert resume[0] == 0
+                for c in range(1, k**w):
+                    rank = 0  # the least significant nonzero letter of c
+                    while c // k**rank % k == 0:
+                        rank += 1
+                    assert resume[c] == m - positions[rank]
+
+    def test_cold_and_warm_cache_agree(self):
+        trie = _third_full_trie(2, 8, 5)
+        pattern = QueryPattern.from_string("1*0**1*0")
+        _cached_plan.cache_clear()
+        cold = backtracking_query(trie, pattern)
+        assert _cached_plan.cache_info().misses == 1
+        warm = backtracking_query(trie, pattern)
+        assert _cached_plan.cache_info().hits == 1
+        assert cold == warm == edge_walk_query(trie, pattern)
+
+    def test_same_configuration_at_two_alphabets(self):
+        # a cache key that dropped k would hand the k=3 query a binary plan
+        m, positions = 5, (1, 3, 4)
+        _cached_plan.cache_clear()
+        for k in (2, 3):
+            trie = _third_full_trie(k, m, k)
+            pattern = QueryPattern.from_configuration(m, positions, [1, 0])
+            assert backtracking_query(trie, pattern) == edge_walk_query(trie, pattern)
+        assert _cached_plan.cache_info().currsize == 2
+
+    def test_large_pattern_bypasses_the_cache(self):
+        k, m, w = 2, 8, 7
+        assert k**w > MAX_CACHED_EXPANSIONS
+        trie = _third_full_trie(k, m, 11)
+        before = _cached_plan.cache_info()
+        for positions in enumerate_configurations(m, w):
+            pattern = QueryPattern.from_configuration(m, positions, 1)
+            assert backtracking_query(trie, pattern) == edge_walk_query(trie, pattern)
+        assert _cached_plan.cache_info() == before
+
+    def test_cache_stays_within_its_bound(self):
+        # C(14, 5) = 2002 configurations of 32 expansions, each cached
+        k, m, w = 2, 14, 5
+        assert k**w <= MAX_CACHED_EXPANSIONS
+        trie = random_trie(k, m, 200, seed=3)
+        _cached_plan.cache_clear()
+        for n, positions in enumerate(enumerate_configurations(m, w), 1):
+            backtracking_query(trie, QueryPattern.from_configuration(m, positions))
+            info = _cached_plan.cache_info()
+            assert info.maxsize == PLAN_CACHE_SIZE
+            assert info.currsize == min(n, PLAN_CACHE_SIZE)
