@@ -22,18 +22,22 @@ routing power to the entry distribution; a node's fingers are always
 a prefix 1..g, and one pass builds every node's table.
 
 Everything is seeded and single-threaded. A built network's tables and
-entries are read-only during measurement. The one thing a lookup writes
-is a memo of the routes to the owner it last routed to: the memo
-attribute is replaced whole by a new (owner, routes) tuple, and its dict
-only gains routes, each the deterministic route for its (owner, start).
-So concurrent lookups against a frozen network still get the outcomes
-a lone lookup would. Redistributing entries requires exclusive access.
+entries are read-only during measurement. A lookup writes two things.
+A routed one writes the memo of the routes to the owner it last routed
+to: the memo attribute is replaced whole by a new (owner, routes) tuple,
+and its dict only gains routes, each the deterministic route for its
+(owner, start). A 0-hop one fills its start's pair of outcomes, absent
+and present, on the start's first 0-hop lookup; the pair depends on the
+node keys alone, so concurrent fills store equal immutable values. So
+concurrent lookups against a frozen network still get the outcomes a
+lone lookup would. Redistributing entries requires exclusive access.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import PatternShapeError, SizeLimitError
@@ -44,7 +48,6 @@ ENTRY_BOUND = "entry-bound"
 
 MAX_RING_BITS = 24
 MAX_LOOKUPS = 1 << 12  # expansions one wildcard query may look up
-_BINARY = frozenset((None, 0, 1))  # QueryPattern letters are ints, never bools
 
 
 class LookupOutcome(NamedTuple):
@@ -113,6 +116,19 @@ class ChordNetwork:
         self.n = n
         self.loads = [0] * n
         self._stored: set[int] = set()
+        # the 0-hop keys from node a, owned by a or its successor, are the
+        # _arc_width[a] keys from _arc_first[a] (see `lookup`);
+        # _zero_hop[a] is a's (absent, present) outcome pair, made on use
+        keys = self.node_keys
+        mask = self.size - 1
+        self._mask = mask
+        self._arc_first = [keys[a - 1] + 1 for a in range(n)]
+        self._arc_width = [
+            ((keys[a] - keys[a - 1]) & mask)
+            + ((keys[a + 1 - n] - keys[a]) & mask)
+            for a in range(n)
+        ]
+        self._zero_hop: list[tuple | None] = [None] * n
         self._build_tables()
 
     def successor_of(self, d: int) -> int:
@@ -243,8 +259,18 @@ class ChordNetwork:
         the distance by a bit, the lookup answers absent at once (the
         error case). Each accepted hop therefore strictly shortens the bit
         length of a distance below 2**m, so a lookup takes at most m hops
-        and needs no hop cap. A lookup that starts at the owner or at its
-        predecessor takes 0 hops and returns before any routing.
+        and needs no hop cap.
+
+        A lookup that starts at the owner or at its predecessor takes 0
+        hops, and an arc test tells it apart before the owner's bisect: the
+        keys those two nodes own are the arcs of start and of its
+        successor, `_arc_width[start]` keys clockwise from
+        `_arc_first[start]` = keys[start - 1] + 1, so the lookup is 0-hop
+        exactly when `(d - _arc_first[start]) & mask < _arc_width[start]`.
+        On a 2-node ring the two arcs are the whole ring. The outcome then
+        is one of the start's two, made on its first 0-hop lookup and
+        shared after that: `_zero_hop[start][truth]`, so a refill that
+        changes the truth of d changes which of the two comes back.
 
         A routed lookup reuses the route of an earlier one to the same
         owner from the same start. The network keeps the routes of the
@@ -272,15 +298,22 @@ class ChordNetwork:
         ):
             d, start = self._check_lookup(d, start)
 
+        # the owner is start itself or its clockwise neighbor
+        if (d - self._arc_first[start]) & self._mask < self._arc_width[start]:
+            pair = self._zero_hop[start]
+            if pair is None:
+                path = (start,)
+                pair = self._zero_hop[start] = (
+                    _new(LookupOutcome, (False, True, 0, path, False)),
+                    _new(LookupOutcome, (True, True, 0, path, False)),
+                )
+            return pair[d in self._stored]
+
         keys = self.node_keys
         t = bisect_left(keys, d)
         if t == n:
             t = 0
         truth = d in self._stored
-        # the owner is start itself or its clockwise neighbor
-        if start == t or start + 1 == t or start - t == n - 1:
-            return _new(LookupOutcome, (truth, True, 0, (start,), False))
-
         owner, routes = self._route_memo
         if owner != t:
             routes = {}
@@ -289,7 +322,7 @@ class ChordNetwork:
         if route is None:
             addrs = self._table_addrs
             offs = self._table_offs
-            mask = self.size - 1
+            mask = self._mask
             tkey = keys[t]
             a = start
             path = [a]
@@ -342,25 +375,47 @@ class ChordNetwork:
         """Resolve every expansion of a binary pattern over the ring.
 
         Expansions are looked up in protocol order, each starting at the
-        peer where the previous lookup ended.
+        peer where the previous lookup ended. One pass over the symbols
+        refuses a letter other than 0 and 1 and builds `base`, the key with
+        every wildcard at 0. The keys then come from an xor walk: going
+        from expansion c - 1 to c clears the wildcards of rank below
+        r = `_ruler(w)[c]` and sets the one of rank r, so the key changes
+        by `flip[r]`, the bits of wildcard ranks 0..r. `_ruler(w)[0]` selects
+        the mask 0, so the walk's first key is `base`. The keys and their
+        order are those of `pattern.expansions(2)`.
         """
-        if pattern.m != self.m:
+        symbols = pattern.symbols
+        if len(symbols) != self.m:
             raise PatternShapeError(
                 f"pattern length {pattern.m} does not match ring bits {self.m}"
             )
-        if not _BINARY.issuperset(pattern.symbols):
-            raise PatternShapeError("ring patterns are binary")
-        if 2**pattern.wildcard_count > MAX_LOOKUPS:
-            raise SizeLimitError(
-                f"{2 ** pattern.wildcard_count} lookups exceed {MAX_LOOKUPS}"
-            )
+        base = 0
+        for s in symbols:
+            if s is None:
+                base <<= 1
+            elif s < 2:
+                base = base << 1 | s
+            else:
+                raise PatternShapeError("ring patterns are binary")
+        configuration = pattern.configuration
+        w = len(configuration)
+        if 1 << w > MAX_LOOKUPS:
+            raise SizeLimitError(f"{1 << w} lookups exceed {MAX_LOOKUPS}")
+        flip = []
+        bits = 0
+        for z in configuration:
+            bits |= 1 << (z - 1)
+            flip.append(bits)
+        flip.append(0)  # _ruler's sentinel rank, -1, for the first key
         lookup = self.lookup
         peer = start
         hops = []
         append = hops.append
         resolved = True
         matches = []
-        for d in pattern.expansions(2):
+        d = base
+        for rank in _ruler(w):
+            d ^= flip[rank]
             found, _, h, path, error = lookup(d, peer)
             append(h)
             if error:
@@ -397,6 +452,15 @@ class ChordNetwork:
                 f" entries={self.loads[addr]}"
             )
         return "\n".join(lines) + "\n"
+
+
+@lru_cache(maxsize=MAX_LOOKUPS.bit_length())  # w <= 12: one entry per w
+def _ruler(w: int) -> tuple[int, ...]:
+    """Per expansion c of a w-wildcard query, the rank of the wildcard that
+    c sets: the least significant wildcard whose letter goes from 0 to 1
+    in the counting order. Expansion 0 sets none and gets the sentinel -1.
+    """
+    return (-1, *[((c - 1) ^ c).bit_length() - 1 for c in range(1, 1 << w)])
 
 
 def _require_ring_bits(m) -> None:

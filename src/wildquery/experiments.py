@@ -19,9 +19,12 @@ import math
 import random
 import statistics
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
+from operator import le
+from random import _sha512  # the digest `Random.seed` uses; see _trial_rng
 from typing import NamedTuple
 
 from . import __version__
@@ -32,7 +35,7 @@ from .analysis import (
     mean_step_bound_hypergeometric,
     wildcard_position_pmf,
 )
-from .dht import ENTRY_BOUND, FULL, build_network
+from .dht import ENTRY_BOUND, FULL, _ruler, build_network
 from .errors import SizeLimitError
 from .trie import MAX_TRIE_KEYS, complete_trie, random_trie
 from .wildcard import (
@@ -112,13 +115,30 @@ def _rng(seed, *labels) -> random.Random:
     return random.Random("|".join([str(seed), *map(str, labels)]))
 
 
-def _trial_rng(seed) -> tuple[random.Random, str]:
-    """One generator for a runner's trials and their seed prefix.
+def _trial_rng(seed) -> tuple[random.Random, Callable[[int], None]]:
+    """One generator for a runner's trials and the function that re-seeds it.
 
-    `rng.seed(label + str(i))` gives the state of `_rng(seed, "trial", i)`
-    without building a new generator per trial.
+    `reseed(i)` gives `rng` the state of `_rng(seed, "trial", i)` without
+    building a new generator per trial. It does what `Random.seed` does
+    with a str (version 2), minus that method's Python frame: it encodes
+    "<seed>|trial|<i>" as UTF-8, appends the SHA-512 digest of those
+    bytes, reads the whole as a big-endian int and hands it straight to
+    the C seeding. It takes the digest from `random`'s own `_sha512`, the
+    builtin one there, since hashlib's OpenSSL constructor costs about
+    0.3 µs more per call, most of what skipping the frame saves. The
+    oracle test in tests/test_experiments.py pins the state against
+    `random.Random(f"{seed}|trial|{i}")`.
     """
-    return random.Random(0), str(seed) + "|trial|"
+    rng = random.Random(0)
+    prefix = f"{seed}|trial|"
+    c_seed = super(random.Random, rng).seed
+
+    def reseed(i: int) -> None:
+        a = (prefix + str(i)).encode()
+        c_seed(int.from_bytes(a + _sha512(a).digest(), "big"))
+        rng.gauss_next = None
+
+    return rng, reseed
 
 
 def _frac(value: Fraction) -> dict:
@@ -277,13 +297,13 @@ def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
     rows: list[Row] = []
     add = _row_adder(cfg, rows, m=m, w=w, k=k)
     params = _ConfigLabels()
-    rng, label = _trial_rng(cfg.seed)
+    rng, reseed = _trial_rng(cfg.seed)
     for trial in range(trials):
         block = trial * trie_count // trials
         if block != trie_block:
             trie = random_trie(k, m, population, f"{cfg.seed}|trie|{block}")
             trie_block = block
-        rng.seed(label + str(trial))
+        reseed(trial)
         pattern = random_pattern(m, w, k, rng)
         positions = pattern.configuration
         bound = config_step_bound(m, w, positions, k)
@@ -422,9 +442,9 @@ def _halving_ok(net, t: int, path, approved: set) -> bool:
 
 def _sampled_lookups(seed, trials: int, size: int, n: int):
     """chord-single's sampled (target, starts, label), one per trial."""
-    rng, label = _trial_rng(seed)
+    rng, reseed = _trial_rng(seed)
     for trial in range(trials):
-        rng.seed(label + str(trial))
+        reseed(trial)
         d = rng.randrange(size)
         start = rng.randrange(n)
         yield d, (start,), f"d={d}/start={start}"
@@ -523,15 +543,20 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
     rows: list[Row] = []
     add = _row_adder(cfg, rows, m=m, w=w, n=n)
     sharp_keys = 0
-    # expansion c > 0 flips the wildcard of this rank from its predecessor
-    flips = [(c, ((c - 1) ^ c).bit_length() - 1) for c in range(1, 1 << w)]
+    # expansion c > 0 sets the wildcard of rank ranks[c - 1]
+    ranks = _ruler(w)[1:]
     params = _ConfigLabels()
-    rng, label = _trial_rng(cfg.seed)
+    rng, reseed = _trial_rng(cfg.seed)
+    getrandbits = rng.getrandbits
+    n_bits = n.bit_length()
     for trial in range(trials):
-        rng.seed(label + str(trial))
+        reseed(trial)
         pattern = random_pattern(m, w, 2, rng)
         positions = pattern.configuration
-        start = rng.randrange(n)
+        # rng.randrange(n), inlined: redraw n.bit_length() bits until below n
+        start = getrandbits(n_bits)
+        while start >= n:
+            start = getrandbits(n_bits)
         res = net.wildcard_query(pattern, start)
         bound = config_step_bound(m, w, positions, 2)
         if not res.resolved:
@@ -542,9 +567,11 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
             )
         add(params[positions], res.total_hops, bound)
         # how often the idealized one-hop-per-bit accounting held exactly
-        hops = res.per_key_hops
-        for c, rank in flips:
-            sharp_keys += hops[c] <= positions[rank]
+        sharp_keys += sum(map(
+            le,
+            islice(res.per_key_hops, 1, None),
+            map(positions.__getitem__, ranks),
+        ))
 
     mean = sum(row.measured for row in rows) / trials
     later_keys = trials * ((1 << w) - 1)  # every key after each query's first

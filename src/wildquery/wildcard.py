@@ -241,8 +241,15 @@ def _build_plan(m: int, k: int, configuration: Configuration):
         weight = k ** (z - 1)
         offset += [x + a * weight for a in range(1, k) for x in offset]
         resume += ([m - z] + resume[1:]) * (k - 1)
-    # the wildcards at depths <= d are those at positions z >= m - d
-    span = [k ** sum(z < m - d for z in configuration) for d in range(m + 1)]
+    # the wildcards at depths <= d are those at positions z >= m - d, so
+    # span[d] = k**q for the q wildcards below m - d; q only falls as d
+    # grows, past each wildcard in turn from the most significant
+    span = []
+    q = len(configuration)
+    for d in range(m + 1):
+        while q and configuration[q - 1] >= m - d:
+            q -= 1
+        span.append(k**q)
     return tuple(span), tuple(offset), tuple(resume)
 
 

@@ -589,18 +589,27 @@ class TestLookup:
             assert net.successor_of(d) == want
 
     @pytest.mark.parametrize("mode", [FULL, ENTRY_BOUND])
-    @pytest.mark.parametrize("n", [2, 3, 64])
+    @pytest.mark.parametrize("n", [2, 3, 64, "clustered"])
     def test_equals_reference_lookup(self, n, mode):
         # every (d, start) pair on rings with no entries, 3n and m*n, so
         # stored and unstored keys, 0-hop exits, routed lookups and, on
         # entry-bound rings, stalls all meet the oracle field by field;
         # sweep order (d outer, start inner) lets the route memo serve a
-        # route again, shuffled order mostly routes afresh
+        # route again, shuffled order mostly routes afresh. On the
+        # clustered ring, nodes 0, 1 and 2 have arcs of one key, node 0's
+        # arc starts at 2**m, which the mask wraps to 0, and the 0-hop keys
+        # from node 2**m - 1 wrap past key 0 into node 0's arc
         m = 7
+        if n == "clustered":
+            node_keys = [0, 1, 2, (1 << m) - 1, 1 << (m - 1)]
+            n = len(node_keys)
+            make = lambda: ChordNetwork(m, node_keys, finger_mode=mode)
+        else:
+            make = lambda: build_network(n, m, seed=n, finger_mode=mode)
         pairs = [(d, start) for d in range(1 << m) for start in range(n)]
         shuffled = random.Random(n).sample(pairs, len(pairs))
         for order in (pairs, shuffled):
-            net = build_network(n, m, seed=n, finger_mode=mode)
+            net = make()
             kinds = Counter()
             paths = {}  # a memo hit hands back the path object it stored
             reused = 0
@@ -627,6 +636,37 @@ class TestLookup:
                 reference_lookup(net, d, start)
             with pytest.raises(ValueError):
                 net.lookup(d, start)
+
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_zero_hop_outcomes_are_shared_per_start_and_truth(self, n):
+        # a 0-hop lookup hands back one of its start's two outcomes, the
+        # one for its key's truth; a refill flips the truth, not the pair
+        m = 10
+        count = 1 << (m - 1)
+        net = build_network(n, m, seed=8)
+        net.distribute_entries(count, seed=9)
+        stored = set(net.stored_keys())
+        shared = {}  # start -> (a stored key, its outcome, the absent one)
+        for start in range(n):
+            owners = (start, (start + 1) % n)
+            pair = {}
+            for d in range(net.size):
+                if net.successor_of(d) in owners:
+                    out = net.lookup(d, start)
+                    truth = d in stored
+                    assert out == (truth, True, 0, (start,), False)
+                    assert out is pair.setdefault(truth, out), (d, start)
+                    if truth:
+                        key = d
+            if len(pair) == 2:
+                shared[start] = key, pair[True], pair[False]
+        assert len(shared) > n // 2
+        net.distribute_entries(0, seed=9)
+        for start, (d, present, absent) in shared.items():
+            assert net.lookup(d, start) is absent
+        net.distribute_entries(count, seed=9)
+        for start, (d, present, absent) in shared.items():
+            assert net.lookup(d, start) is present
 
     def test_refill_resets_the_route_memo(self):
         # sparse entries grant few fingers and dense ones many, so a refill
@@ -794,14 +834,15 @@ class TestWildcardQuery:
 
     @pytest.mark.parametrize("mode", [FULL, ENTRY_BOUND])
     def test_equals_chained_reference_lookups(self, mode):
-        # every m=6 pattern with at most 3 wildcards, its keys in counting
-        # order from itertools.product, each looked up by the oracle from
-        # where the previous one ended
+        # every m=6 pattern, up to the all-wildcard one whose 64 lookups
+        # take the xor walk through every rank, its keys in counting order
+        # from itertools.product, each looked up by the oracle from where
+        # the previous one ended
         m, n = 6, 16
         net = build_network(n, m, seed=4, finger_mode=mode)
         net.distribute_entries(2 * n, seed=5)
         unresolved = 0
-        for w in range(4):
+        for w in range(m + 1):
             for positions in enumerate_configurations(m, w):
                 weights = [1 << (z - 1) for z in reversed(positions)]
                 for letters in itertools.product((0, 1), repeat=m - w):

@@ -37,6 +37,7 @@ from wildquery.experiments import (
     run_trie_exact,
     run_trie_random,
 )
+from wildquery.wildcard import random_pattern
 
 
 def cfg(experiment, **kw):
@@ -414,6 +415,41 @@ class TestRunners:
         assert any(x & (x - 1) for x in stored_lengths), (
             "every len(stored) was a power of two"
         )
+
+    @pytest.mark.parametrize("seed", [7, "ring", "ünï|cödé"])
+    def test_trial_reseed_gives_the_state_of_a_str_seeded_generator(self, seed):
+        rng, reseed = experiments._trial_rng(seed)
+        for i in [*range(200), 10**6]:
+            reseed(i)
+            assert rng.getstate() == random.Random(f"{seed}|trial|{i}").getstate()
+            rng.random()  # the next reseed starts from a moved state
+
+    # n = 64 and 1024 are powers of two, so randrange(n) rejects about half
+    # its draws; n = 48 rejects a quarter
+    @pytest.mark.parametrize("n", [64, 48, 1024])
+    def test_chord_wildcard_starts_are_the_randrange_draws(
+        self, n, monkeypatch
+    ):
+        # the runner's starts, in order, against random_pattern then
+        # rng.randrange(n) replayed from each trial's str-seeded generator
+        m, w, trials = 12, 3, 60
+        seen = []
+        real_query = ChordNetwork.wildcard_query
+
+        def recording_query(net, pattern, start):
+            seen.append((pattern, start))
+            return real_query(net, pattern, start)
+
+        monkeypatch.setattr(ChordNetwork, "wildcard_query", recording_query)
+        run_chord_wildcard(cfg("chord-wildcard", m=m, w=w, n=n, trials=trials))
+        monkeypatch.undo()
+
+        want = []
+        for trial in range(trials):
+            rng = random.Random(f"7|trial|{trial}")
+            pattern = random_pattern(m, w, 2, rng)
+            want.append((pattern, rng.randrange(n)))
+        assert seen == want
 
     @pytest.mark.parametrize(
         "name, mode",

@@ -539,6 +539,19 @@ class TestSearchPlan:
                         rank += 1
                     assert resume[c] == m - positions[rank]
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_span_equals_the_per_depth_count(self, k):
+        # the one-index span against the expression it replaced, which
+        # counted the wildcards below m - d afresh at every depth
+        for m in range(1, 11):
+            for w in range(m + 1):
+                for positions in enumerate_configurations(m, w):
+                    span = _build_plan(m, k, positions)[0]
+                    assert span == tuple(
+                        k ** sum(z < m - d for z in positions)
+                        for d in range(m + 1)
+                    ), (m, positions)
+
     def test_cold_and_warm_cache_agree(self):
         trie = _third_full_trie(2, 8, 5)
         pattern = QueryPattern.from_string("1*0**1*0")
