@@ -66,8 +66,7 @@ class LookupOutcome(NamedTuple):
     error_case: bool
 
 
-# builds a LookupOutcome or RingQueryResult from a tuple in C, with no
-# __new__ frame
+# builds a LookupOutcome from a tuple in C, with no __new__ frame
 _new = tuple.__new__
 # route memo of a network whose tables just changed: no owner, no routes
 _NO_ROUTES = (-1, None)
@@ -116,18 +115,15 @@ class ChordNetwork:
         self.n = n
         self.loads = [0] * n
         self._stored: set[int] = set()
-        # the 0-hop keys from node a, owned by a or its successor, are the
-        # _arc_width[a] keys from _arc_first[a] (see `lookup`);
-        # _zero_hop[a] is a's (absent, present) outcome pair, made on use
+        # node a owns the _arcs[a] keys from _arc_first[a]; the 0-hop keys
+        # from a, owned by a or its successor, are the _arc_width[a] keys
+        # from there (see `lookup`); _zero_hop[a] is a's (absent, present)
+        # outcome pair, made on use
         keys = self.node_keys
-        mask = self.size - 1
-        self._mask = mask
+        mask = self._mask = self.size - 1
+        arcs = self._arcs = [(keys[a] - keys[a - 1]) & mask for a in range(n)]
         self._arc_first = [keys[a - 1] + 1 for a in range(n)]
-        self._arc_width = [
-            ((keys[a] - keys[a - 1]) & mask)
-            + ((keys[a + 1 - n] - keys[a]) & mask)
-            for a in range(n)
-        ]
+        self._arc_width = [arcs[a] + arcs[a + 1 - n] for a in range(n)]
         self._zero_hop: list[tuple | None] = [None] * n
         self._build_tables()
 
@@ -216,11 +212,9 @@ class ChordNetwork:
         if count < 0:
             raise ValueError("entry count must be >= 0")
         getrandbits = random.Random(seed).getrandbits
-        n, mask = self.n, self.size - 1
-        keys = self.node_keys
-        arcs = [(keys[a] - keys[a - 1]) & mask for a in range(n)]
+        n, mask = self.n, self._mask
+        arcs, bases = self._arcs, self._arc_first
         arc_bits = [arc.bit_length() for arc in arcs]
-        bases = [keys[a - 1] + 1 for a in range(n)]
         n_bits = n.bit_length()
         loads = [0] * n
         stored: set[int] = set()
@@ -423,9 +417,8 @@ class ChordNetwork:
             if found:
                 matches.append(d)
             peer = path[-1]
-        return _new(
-            RingQueryResult,
-            (frozenset(matches), tuple(hops), sum(hops), resolved),
+        return RingQueryResult(
+            frozenset(matches), tuple(hops), sum(hops), resolved
         )
 
     # -- introspection -----------------------------------------------------

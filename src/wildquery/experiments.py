@@ -19,12 +19,10 @@ import math
 import random
 import statistics
 import time
-from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from operator import le
-from random import _sha512  # the digest `Random.seed` uses; see _trial_rng
 from typing import NamedTuple
 
 from . import __version__
@@ -113,32 +111,6 @@ class ExperimentReport:
 
 def _rng(seed, *labels) -> random.Random:
     return random.Random("|".join([str(seed), *map(str, labels)]))
-
-
-def _trial_rng(seed) -> tuple[random.Random, Callable[[int], None]]:
-    """One generator for a runner's trials and the function that re-seeds it.
-
-    `reseed(i)` gives `rng` the state of `_rng(seed, "trial", i)` without
-    building a new generator per trial. It does what `Random.seed` does
-    with a str (version 2), minus that method's Python frame: it encodes
-    "<seed>|trial|<i>" as UTF-8, appends the SHA-512 digest of those
-    bytes, reads the whole as a big-endian int and hands it straight to
-    the C seeding. It takes the digest from `random`'s own `_sha512`, the
-    builtin one there, since hashlib's OpenSSL constructor costs about
-    0.3 µs more per call, most of what skipping the frame saves. The
-    oracle test in tests/test_experiments.py pins the state against
-    `random.Random(f"{seed}|trial|{i}")`.
-    """
-    rng = random.Random(0)
-    prefix = f"{seed}|trial|"
-    c_seed = super(random.Random, rng).seed
-
-    def reseed(i: int) -> None:
-        a = (prefix + str(i)).encode()
-        c_seed(int.from_bytes(a + _sha512(a).digest(), "big"))
-        rng.gauss_next = None
-
-    return rng, reseed
 
 
 def _frac(value: Fraction) -> dict:
@@ -297,13 +269,13 @@ def run_trie_random(cfg: ExperimentConfig) -> ExperimentReport:
     rows: list[Row] = []
     add = _row_adder(cfg, rows, m=m, w=w, k=k)
     params = _ConfigLabels()
-    rng, reseed = _trial_rng(cfg.seed)
+    rng = random.Random()
     for trial in range(trials):
         block = trial * trie_count // trials
         if block != trie_block:
             trie = random_trie(k, m, population, f"{cfg.seed}|trie|{block}")
             trie_block = block
-        reseed(trial)
+        rng.seed(f"{cfg.seed}|trial|{trial}")
         pattern = random_pattern(m, w, k, rng)
         positions = pattern.configuration
         bound = config_step_bound(m, w, positions, k)
@@ -442,9 +414,9 @@ def _halving_ok(net, t: int, path, approved: set) -> bool:
 
 def _sampled_lookups(seed, trials: int, size: int, n: int):
     """chord-single's sampled (target, starts, label), one per trial."""
-    rng, reseed = _trial_rng(seed)
+    rng = random.Random()
     for trial in range(trials):
-        reseed(trial)
+        rng.seed(f"{seed}|trial|{trial}")
         d = rng.randrange(size)
         start = rng.randrange(n)
         yield d, (start,), f"d={d}/start={start}"
@@ -546,11 +518,11 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
     # expansion c > 0 sets the wildcard of rank ranks[c - 1]
     ranks = _ruler(w)[1:]
     params = _ConfigLabels()
-    rng, reseed = _trial_rng(cfg.seed)
+    rng = random.Random()
     getrandbits = rng.getrandbits
     n_bits = n.bit_length()
     for trial in range(trials):
-        reseed(trial)
+        rng.seed(f"{cfg.seed}|trial|{trial}")
         pattern = random_pattern(m, w, 2, rng)
         positions = pattern.configuration
         # rng.randrange(n), inlined: redraw n.bit_length() bits until below n

@@ -166,6 +166,10 @@ class QueryPattern:
         first: the keys so far are followed by a copy of them for each
         further letter of the next wildcard.
         """
+        if type(k) is not int:
+            refuse_non_int(k=k)
+        if k < 1:
+            raise ValueError(f"need k >= 1, got {k}")
         base = 0
         place = 1
         weights = []  # place value of each wildcard, least significant first

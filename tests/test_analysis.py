@@ -82,6 +82,12 @@ class TestConfigStepBound:
             random_pattern, (4, 1, True, random.Random(0)), "k",
             id="random_pattern-(4, 1, True, rng)-'k'",
         ),
+        # expansions(2.0) leaked "'float' object cannot be interpreted as an
+        # integer", expansions("2") leaked "unsupported operand type(s) for
+        # +=", and expansions(False) returned one key
+        (QueryPattern.from_string("1*0").expansions, (2.0,), "k"),
+        (QueryPattern.from_string("1*0").expansions, ("2",), "k"),
+        (QueryPattern.from_string("1*0").expansions, (False,), "k"),
     ],
     ids=lambda v: v.__qualname__ if callable(v) else repr(v),
 )

@@ -417,12 +417,51 @@ class TestRunners:
         )
 
     @pytest.mark.parametrize("seed", [7, "ring", "ünï|cödé"])
-    def test_trial_reseed_gives_the_state_of_a_str_seeded_generator(self, seed):
-        rng, reseed = experiments._trial_rng(seed)
-        for i in [*range(200), 10**6]:
-            reseed(i)
-            assert rng.getstate() == random.Random(f"{seed}|trial|{i}").getstate()
-            rng.random()  # the next reseed starts from a moved state
+    @pytest.mark.parametrize("name", ["trie-random", "chord-wildcard"])
+    def test_each_trial_patterns_from_the_state_of_its_str_seeded_generator(
+        self, name, seed, monkeypatch
+    ):
+        # the generator's state as each trial's random_pattern gets it,
+        # against a fresh random.Random("<seed>|trial|<i>") per trial
+        states = []
+        real_pattern = experiments.random_pattern
+
+        def recording_pattern(m, w, k, rng):
+            states.append(rng.getstate())
+            return real_pattern(m, w, k, rng)
+
+        monkeypatch.setattr(experiments, "random_pattern", recording_pattern)
+        trials = 40
+        run_experiment(
+            cfg(name, seed=seed, m=8, w=2, k=2, n=16, population=64,
+                trials=trials)
+        )
+        want = [
+            random.Random(f"{seed}|trial|{i}").getstate() for i in range(trials)
+        ]
+        assert states == want
+
+    @pytest.mark.parametrize("seed", [7, "ring", "ünï|cödé"])
+    def test_chord_single_samples_each_trial_from_its_str_seeded_generator(
+        self, seed, monkeypatch
+    ):
+        # the sampled (d, start) of each trial against rng.randrange(2**m)
+        # then rng.randrange(n) from random.Random("<seed>|trial|<i>")
+        m, n, trials = 8, 16, 40
+        seen = []
+        real_lookup = ChordNetwork.lookup
+
+        def recording_lookup(net, d, start):
+            seen.append((d, start))
+            return real_lookup(net, d, start)
+
+        monkeypatch.setattr(ChordNetwork, "lookup", recording_lookup)
+        run_chord_single(cfg("chord-single", seed=seed, m=m, n=n, trials=trials))
+        want = []
+        for i in range(trials):
+            rng = random.Random(f"{seed}|trial|{i}")
+            want.append((rng.randrange(1 << m), rng.randrange(n)))
+        assert seen == want
 
     # n = 64 and 1024 are powers of two, so randrange(n) rejects about half
     # its draws; n = 48 rejects a quarter

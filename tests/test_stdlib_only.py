@@ -3,7 +3,11 @@
 pyproject.toml declares `dependencies = []`. A third-party package that
 happens to be installed (numpy, say) would still import here, so this
 parses every module of the package and refuses any absolute import whose
-top-level name is not a standard-library module.
+top-level name is not a standard-library module. It also refuses a
+private name imported from a standard-library module, such as
+`from random import _sha512`: CPython may rename or drop it in any
+release. The package's own private names, imported relatively, stay
+allowed.
 """
 
 import ast
@@ -27,6 +31,18 @@ def foreign_imports(source: str) -> list[str]:
     ]
 
 
+def private_stdlib_imports(source: str) -> list[str]:
+    """`module.name` of each underscore name imported from the stdlib."""
+    return [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.partition(".")[0] in sys.stdlib_module_names
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
 def test_the_check_sees_foreign_imports():
     source = (
         "import os, numpy.linalg\n"
@@ -44,3 +60,23 @@ def test_package_imports_only_the_standard_library():
     assert modules
     for path in modules:
         assert foreign_imports(path.read_text()) == [], path.name
+
+
+def test_the_check_sees_private_stdlib_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "from random import _sha512, Random\n"
+        "from .dht import _ruler\n"
+        "from numpy import _private\n"
+        "from os.path import _joinrealpath as j\n"
+        "def f():\n"
+        "    from collections import _count_elements\n"
+    )
+    assert private_stdlib_imports(source) == [
+        "random._sha512", "os.path._joinrealpath", "collections._count_elements",
+    ]
+
+
+def test_package_imports_no_private_stdlib_name():
+    for path in sorted(PACKAGE.rglob("*.py")):
+        assert private_stdlib_imports(path.read_text()) == [], path.name

@@ -172,6 +172,13 @@ class TestPattern:
         ternary = QueryPattern.from_string("*1")
         assert list(ternary.expansions(3)) == [1, 4, 7]
 
+    def test_expansions_refuse_an_alphabet_below_one_letter(self):
+        # k = 0 or -1 gave one key for a pattern with a wildcard
+        pattern = QueryPattern.from_string("*0*")
+        for k in (0, -1):
+            with pytest.raises(ValueError, match=f"need k >= 1, got {k}"):
+                pattern.expansions(k)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_expansions_match_product_formula(self, k):
         # reference: itertools.product over the wildcard letters, most
