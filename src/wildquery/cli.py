@@ -135,7 +135,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     _check_types(merged)
     cfg = ExperimentConfig(experiment=args.experiment, **merged)
     if cfg.out is None:
-        cfg.out = f"{cfg.experiment}.{cfg.fmt}"
+        cfg = cfg._replace(out=f"{cfg.experiment}.{cfg.fmt}")
     return cfg
 
 

@@ -19,7 +19,6 @@ import math
 import random
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from operator import le
@@ -65,8 +64,11 @@ class SizingError(SizeLimitError):
     """The requested parameters exceed the documented desk-scale limits."""
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
+    """One experiment's parameters; immutable, changed with `_replace`.
+
+    The field order is the key order of a JSON report's "config"."""
+
     experiment: str
     seed: int | str
     m: int = 0
@@ -99,14 +101,38 @@ class Row(NamedTuple):
     seed: int | str
 
 
-@dataclass
 class ExperimentReport:
-    experiment: str
-    config: dict
-    version: str
-    rows: list[Row]
-    aggregates: dict
-    wall_clock_s: float | None = field(default=None, compare=False)
+    """A runner's result. `wall_clock_s` is set by `run_experiment` for
+    logging; it is never serialized, and equality ignores it. Reports
+    are mutable and so unhashable."""
+
+    def __init__(
+        self,
+        experiment: str,
+        config: dict,
+        version: str,
+        rows: list[Row],
+        aggregates: dict,
+        wall_clock_s: float | None = None,
+    ):
+        self.experiment = experiment
+        self.config = config
+        self.version = version
+        self.rows = rows
+        self.aggregates = aggregates
+        self.wall_clock_s = wall_clock_s
+
+    def _data(self) -> tuple:
+        return (self.experiment, self.config, self.version, self.rows, self.aggregates)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._data() == other._data()
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({inner})"
 
 
 def _rng(seed, *labels) -> random.Random:
@@ -154,7 +180,7 @@ def _row_adder(cfg, rows, m=None, w=None, k=None, n=None, with_ratio=True):
 
 def _report(cfg, rows: list[Row], aggregates: dict) -> ExperimentReport:
     return ExperimentReport(
-        cfg.experiment, asdict(cfg), __version__, rows, aggregates
+        cfg.experiment, cfg._asdict(), __version__, rows, aggregates
     )
 
 

@@ -40,7 +40,6 @@ import itertools
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -70,25 +69,49 @@ def validate_configuration(m: int, positions: Configuration) -> None:
         last = z
 
 
-@dataclass(frozen=True)
 class QueryPattern:
     """Fixed letters and wildcards, leftmost symbol at position m.
 
     ``symbols[i]`` is the letter at position m-i, or None for a wildcard.
+    A pattern is immutable; two patterns are equal, and hash alike, when
+    their symbols are.
     """
 
     symbols: tuple[int | None, ...]
 
-    def __post_init__(self):
-        if not self.symbols:
+    def __init__(self, symbols):
+        # a copy, so a caller's later edit to its list cannot reach the
+        # pattern; tuple() hands a tuple back as it is
+        symbols = tuple(symbols or ())
+        if not symbols:
             raise PatternShapeError("empty pattern")
-        for s in self.symbols:
+        for s in symbols:
             # the exact-type test passes a plain letter; only what fails
             # it pays for the subclass-aware refusal
             if s is not None and not (type(s) is int and s >= 0) and (
                 isinstance(s, bool) or not isinstance(s, int) or s < 0
             ):
                 raise PatternShapeError(f"pattern letter must be an int >= 0: {s!r}")
+        # the instance dict, like `configuration`'s cache, bypasses the
+        # refusing __setattr__
+        self.__dict__["symbols"] = symbols
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.symbols == other.symbols
+
+    def __hash__(self):
+        return hash(self.symbols)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(symbols={self.symbols!r})"
 
     @classmethod
     def from_string(cls, text: str) -> "QueryPattern":
@@ -164,7 +187,8 @@ class QueryPattern:
         exactly the order the backtracking search decides memberships in.
         The keys are built by list doubling, least significant wildcard
         first: the keys so far are followed by a copy of them for each
-        further letter of the next wildcard.
+        further letter of the next wildcard. Every fixed letter must lie
+        in 0..k-1.
         """
         if type(k) is not int:
             refuse_non_int(k=k)
@@ -176,8 +200,12 @@ class QueryPattern:
         for s in reversed(self.symbols):
             if s is None:
                 weights.append(place)
-            else:
+            elif s < k:
                 base += s * place
+            else:
+                raise PatternShapeError(
+                    f"pattern letter {s} outside alphabet 0..{k - 1}"
+                )
             place *= k
         keys = [base]
         for wgt in weights:

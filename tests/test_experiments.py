@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -71,8 +70,8 @@ def _cli_params(params):
 
 # every experiment parameter of ExperimentConfig, the fixed mode included
 _PARAMETERS = [
-    f.name for f in dataclasses.fields(ExperimentConfig)
-    if f.name not in ("experiment", "seed", "fmt", "out")
+    name for name in ExperimentConfig._fields
+    if name not in ("experiment", "seed", "fmt", "out")
 ]
 # (experiment, parameter) for each parameter the experiment does not read
 _UNREAD = [
@@ -672,6 +671,48 @@ class TestEmit:
         report = run_trie_exact(cfg("trie-exact", m=2, w=1))
         with pytest.raises(ValueError):
             emit(report, "yaml", tmp_path / "r.yaml")
+
+
+class TestReportAndConfigTypes:
+    def test_reports_compare_equal_whatever_their_wall_clock(self):
+        config = cfg("trie-exact", m=3, w=1)
+        a, b = run_experiment(config), run_experiment(config)
+        a.wall_clock_s, b.wall_clock_s = 1.0, 2.0
+        assert a == b
+        assert run_trie_exact(config) == a  # wall_clock_s None
+        assert a != run_experiment(config._replace(seed=8))
+        assert a.__eq__(a.rows) is NotImplemented
+
+    def test_report_repr_names_every_field(self):
+        report = ExperimentReport("trie-exact", {}, "0", [], {})
+        assert repr(report) == (
+            "ExperimentReport(experiment='trie-exact', config={}, "
+            "version='0', rows=[], aggregates={}, wall_clock_s=None)"
+        )
+
+    def test_config_fields_are_the_json_config_keys(self, tmp_path):
+        config = cfg("trie-exact", m=3, w=1)
+        path = tmp_path / "r.json"
+        emit(run_experiment(config), "json", path)
+        written = json.loads(path.read_text())["config"]
+        assert list(written) == list(ExperimentConfig._fields)
+        assert written == config._asdict()
+
+    def test_config_is_immutable_and_changed_by_replace(self):
+        config = cfg("trie-exact", m=3, w=1)
+        with pytest.raises(AttributeError):
+            config.m = 4
+        assert config._replace(m=4).m == 4 and config.m == 3
+
+    @pytest.mark.parametrize(
+        "flags, out",
+        [([], "trie-exact.csv"), (["--format", "json"], "trie-exact.json")],
+    )
+    def test_cli_default_out_is_experiment_dot_format(self, flags, out):
+        args = build_parser().parse_args(
+            ["trie-exact", "--m", "3", "--w", "1", "--seed", "7", *flags]
+        )
+        assert config_from_args(args).out == out
 
 
 class TestCli:

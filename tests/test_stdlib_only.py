@@ -7,10 +7,14 @@ top-level name is not a standard-library module. It also refuses a
 private name imported from a standard-library module, such as
 `from random import _sha512`: CPython may rename or drop it in any
 release. The package's own private names, imported relatively, stay
-allowed.
+allowed. Last, importing the package must not load `dataclasses` or the
+`inspect`/`ast`/`dis` chain it pulls in: every run would pay about 1 MB
+of memory and 5 ms of start-up for them.
 """
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -80,3 +84,29 @@ def test_the_check_sees_private_stdlib_imports():
 def test_package_imports_no_private_stdlib_name():
     for path in sorted(PACKAGE.rglob("*.py")):
         assert private_stdlib_imports(path.read_text()) == [], path.name
+
+
+# what the benchmark worker imports before the package
+_WORKER_IMPORTS = ("hashlib", "json", "resource", "traceback", "pathlib")
+_HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis"}
+
+_ADDED_MODULES = f"""
+import json, sys
+sys.path.insert(0, {str(PACKAGE.parent)!r})
+import {", ".join(_WORKER_IMPORTS)}
+before = set(sys.modules)
+import wildquery.experiments, wildquery.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_package_import_loads_no_dataclasses_or_inspect():
+    # -I: no user site or PYTHON* variables; the diff leaves out whatever
+    # the interpreter or a site .pth loaded before the package
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", _ADDED_MODULES],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    added = set(json.loads(out))
+    assert "wildquery.cli" in added
+    assert added & _HEAVY_MODULES == set()

@@ -179,6 +179,19 @@ class TestPattern:
             with pytest.raises(ValueError, match=f"need k >= 1, got {k}"):
                 pattern.expansions(k)
 
+    @pytest.mark.parametrize(
+        "text, k, letter",
+        [("2*", 2, 2), ("*3", 3, 3), ("0*9", 4, 9), ("1", 1, 1)],
+    )
+    def test_expansions_refuse_a_letter_outside_the_alphabet(self, text, k, letter):
+        # "2*" with k = 2 gave [4, 5], both outside the key space [0, 4)
+        pattern = QueryPattern.from_string(text)
+        with pytest.raises(
+            PatternShapeError,
+            match=rf"pattern letter {letter} outside alphabet 0\.\.{k - 1}",
+        ):
+            pattern.expansions(k)
+
     @pytest.mark.parametrize("k", [2, 3])
     def test_expansions_match_product_formula(self, k):
         # reference: itertools.product over the wildcard letters, most
@@ -240,6 +253,45 @@ class TestPattern:
             QueryPattern((Letter(-1), None))
         with pytest.raises(PatternShapeError, match=r"int >= 0: True"):
             QueryPattern((1, None, True))
+
+    def test_symbols_are_kept_as_a_tuple(self):
+        # a list was stored as given: hash() raised, and a later edit to
+        # the caller's list changed the pattern
+        letters = [0, None]
+        pattern = QueryPattern(letters)
+        letters[0] = 1
+        assert pattern.symbols == (0, None)
+        assert pattern == QueryPattern((0, None))
+        assert hash(pattern) == hash(QueryPattern((0, None)))
+        symbols = (1, None)
+        assert QueryPattern(symbols).symbols is symbols
+
+    def test_equality_and_hash_go_by_symbols(self):
+        a, b = QueryPattern.from_string("1*0"), QueryPattern((1, None, 0))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, QueryPattern.from_string("1*1")}) == 2
+        assert a != QueryPattern.from_string("1*1")
+        # only patterns compare equal to patterns
+        assert a != (1, None, 0)
+        assert a.__eq__((1, None, 0)) is NotImplemented
+
+    def test_repr_names_the_symbols(self):
+        assert repr(QueryPattern.from_string("1*")) == "QueryPattern(symbols=(1, None))"
+
+    def test_patterns_are_immutable(self):
+        pattern = QueryPattern.from_string("1*0")
+        with pytest.raises(AttributeError):
+            pattern.symbols = (0, None, 0)
+        with pytest.raises(AttributeError):
+            pattern.configuration = (1,)
+        with pytest.raises(AttributeError):
+            del pattern.symbols
+        with pytest.raises(AttributeError):
+            pattern.other = 1
+        assert pattern.symbols == (1, None, 0)
+        # the cached configuration still fills on first read
+        assert pattern.configuration == (2,)
+        assert vars(pattern) == {"symbols": (1, None, 0), "configuration": (2,)}
 
 
 class TestConfigurations:
