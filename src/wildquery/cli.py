@@ -3,8 +3,9 @@
 Exit codes: 0 all assertions passed, 1 an assertion was violated,
 2 usage or sizing problem. Flags may come from the command line or a JSON
 config file (--config); explicit flags win over the file. Each subcommand
-takes only the parameters its experiment reads, the keys of its DEFAULTS
-entry, plus seed, format and out; chord modes are fixed, not options.
+takes only the parameters its experiment reads, the keys of its
+`experiments.EXPERIMENTS` entry, plus seed, format and out; chord modes
+are fixed there, not options.
 """
 
 from __future__ import annotations
@@ -15,49 +16,25 @@ import os
 import sys
 
 from . import __version__
-from .dht import ENTRY_BOUND, FULL
 from .errors import SizeLimitError
 from .experiments import (
-    EXPERIMENT_NAMES,
+    EXPERIMENTS,
     ExperimentConfig,
     ExperimentFailure,
     emit,
     run_experiment,
 )
 
-DEFAULTS = {
-    "trie-exact": {"m": 8, "w": 3, "k": 2},
-    "trie-random": {"m": 12, "w": 4, "k": 2, "population": 1024, "trials": 10000},
-    "identity-sweep": {"m": 20},
-    "position-law": {"m": 10, "w": 3, "trials": 100000},
-    "chord-single": {
-        "m": 12, "n": 256, "trials": 1000, "entries_factor": 1, "mode": FULL,
-    },
-    "chord-wildcard": {
-        "m": 16, "w": 4, "n": 1024, "trials": 1000, "entries_factor": 4,
-        "mode": FULL,
-    },
-    "chord-decay": {
-        "m": 16, "n": 256, "trials": 500, "entries_factor": 8,
-        "mode": ENTRY_BOUND,
-    },
-}
-
-# dest -> (flag, help) of every integer parameter; a subcommand gets the
-# flags of the dests in its DEFAULTS entry
-_PARAMETER_FLAGS = {
-    "m": ("--m", "key length in letters/bits"),
-    "w": ("--w", "number of wildcards"),
-    "k": ("--k", "trie arity"),
-    "n": ("--n", "ring nodes"),
-    "population": ("--population", "keys stored per trie"),
-    "entries_factor": (
-        "--entries-factor",
-        "entries = factor * m * n (for chord-decay, the sweep maximum)",
-    ),
-    "trials": (
-        "--trials", "trial count (chord-single: 0 sweeps every target and start)",
-    ),
+# dest -> help of every integer parameter; a subcommand gets the flag
+# "--" + dest.replace("_", "-") of each dest in its EXPERIMENTS entry
+_PARAMETER_HELP = {
+    "m": "key length in letters/bits",
+    "w": "number of wildcards",
+    "k": "trie arity",
+    "n": "ring nodes",
+    "population": "keys stored per trie",
+    "entries_factor": "entries = factor * m * n (for chord-decay, the sweep maximum)",
+    "trials": "trial count (chord-single: 0 sweeps every target and start)",
 }
 _FORMATS = ("csv", "json")
 
@@ -69,10 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENT_NAMES:
+    for name, (_, defaults) in EXPERIMENTS.items():
         sub = subparsers.add_parser(name, help=f"run the {name} experiment")
-        for dest, (flag, help_text) in _PARAMETER_FLAGS.items():
-            if dest in DEFAULTS[name]:
+        for dest, help_text in _PARAMETER_HELP.items():
+            if dest in defaults:
+                flag = "--" + dest.replace("_", "-")
                 sub.add_argument(flag, dest=dest, type=int, help=help_text)
         sub.add_argument("--seed", type=int, help="master seed (required)")
         sub.add_argument(
@@ -85,18 +63,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_types(merged: dict) -> None:
     """Reject config values the flags' own types would never produce."""
-    for dest in _PARAMETER_FLAGS:
+    for dest in _PARAMETER_HELP:
         if dest in merged and type(merged[dest]) is not int:
             raise SizeLimitError(f"{dest} must be an integer, got {merged[dest]!r}")
     seed = merged["seed"]
-    if not (type(seed) is int or isinstance(seed, str)):
-        raise SizeLimitError(f"seed must be an integer or a string, got {seed!r}")
+    # the generators hash a string seed's UTF-8 bytes, and the CSV holds them
+    if not (type(seed) is int or isinstance(seed, str) and _encodes(seed.encode)):
+        raise SizeLimitError(f"seed must be an integer or a UTF-8 string, got {seed!r}")
     if "fmt" in merged and merged["fmt"] not in _FORMATS:
         raise SizeLimitError(
             f"fmt must be one of {', '.join(_FORMATS)}, got {merged['fmt']!r}"
         )
-    if merged.get("out") is not None and not isinstance(merged["out"], str):
-        raise SizeLimitError(f"out must be a path string, got {merged['out']!r}")
+    out = merged.get("out")
+    # open() refuses a NUL, and a path the file system encoding cannot spell
+    if out is not None and not (
+        isinstance(out, str) and "\0" not in out and _encodes(lambda: os.fsencode(out))
+    ):
+        raise SizeLimitError(f"out must be a file path string, got {out!r}")
+
+
+def _encodes(encode) -> bool:
+    """Whether `encode()` succeeds; a lone surrogate makes it fail."""
+    try:
+        encode()
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -106,10 +98,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         for dest, value in vars(args).items()
         if dest not in ("experiment", "config")
     }
-    merged = dict(DEFAULTS[args.experiment])
+    merged = dict(EXPERIMENTS[args.experiment][1])
     if args.config:
         try:
-            with open(args.config) as handle:
+            with open(args.config, encoding="utf-8") as handle:
                 loaded = json.load(handle)
         except (OSError, ValueError) as exc:
             # ValueError: bad JSON, bad UTF-8, or an integer past the

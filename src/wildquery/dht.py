@@ -40,14 +40,13 @@ from bisect import bisect_left, bisect_right
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import PatternShapeError, SizeLimitError
-from .wildcard import QueryPattern
+from .errors import SizeLimitError
+from .wildcard import MAX_EXPANSIONS, QueryPattern, _check_pattern
 
 FULL = "full"
 ENTRY_BOUND = "entry-bound"
 
 MAX_RING_BITS = 24
-MAX_LOOKUPS = 1 << 12  # expansions one wildcard query may look up
 
 
 class LookupOutcome(NamedTuple):
@@ -369,32 +368,20 @@ class ChordNetwork:
         """Resolve every expansion of a binary pattern over the ring.
 
         Expansions are looked up in protocol order, each starting at the
-        peer where the previous lookup ended. One pass over the symbols
-        refuses a letter other than 0 and 1 and builds `base`, the key with
-        every wildcard at 0. The keys then come from an xor walk: going
+        peer where the previous lookup ended. `wildcard._check_pattern`
+        refuses a letter other than 0 and 1 and returns `base`, the key
+        with every wildcard at 0. The keys then come from an xor walk: going
         from expansion c - 1 to c clears the wildcards of rank below
         r = `_ruler(w)[c]` and sets the one of rank r, so the key changes
         by `flip[r]`, the bits of wildcard ranks 0..r. `_ruler(w)[0]` selects
         the mask 0, so the walk's first key is `base`. The keys and their
         order are those of `pattern.expansions(2)`.
         """
-        symbols = pattern.symbols
-        if len(symbols) != self.m:
-            raise PatternShapeError(
-                f"pattern length {pattern.m} does not match ring bits {self.m}"
-            )
-        base = 0
-        for s in symbols:
-            if s is None:
-                base <<= 1
-            elif s < 2:
-                base = base << 1 | s
-            else:
-                raise PatternShapeError("ring patterns are binary")
+        base = _check_pattern(pattern, self.m, 2)
         configuration = pattern.configuration
         w = len(configuration)
-        if 1 << w > MAX_LOOKUPS:
-            raise SizeLimitError(f"{1 << w} lookups exceed {MAX_LOOKUPS}")
+        if 1 << w > MAX_EXPANSIONS:
+            raise SizeLimitError(f"{1 << w} lookups exceed {MAX_EXPANSIONS}")
         flip = []
         bits = 0
         for z in configuration:
@@ -447,7 +434,7 @@ class ChordNetwork:
         return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=MAX_LOOKUPS.bit_length())  # w <= 12: one entry per w
+@lru_cache(maxsize=MAX_EXPANSIONS.bit_length())  # w <= 12: one entry per w
 def _ruler(w: int) -> tuple[int, ...]:
     """Per expansion c of a w-wildcard query, the rank of the wildcard that
     c sets: the least significant wildcard whose letter goes from 0 to 1

@@ -684,28 +684,39 @@ def run_chord_decay(cfg: ExperimentConfig) -> ExperimentReport:
     })
 
 
-RUNNERS = {
-    "trie-exact": run_trie_exact,
-    "trie-random": run_trie_random,
-    "identity-sweep": run_identity_sweep,
-    "position-law": run_position_law,
-    "chord-single": run_chord_single,
-    "chord-wildcard": run_chord_wildcard,
-    "chord-decay": run_chord_decay,
+# name -> (runner, {parameter: CLI default}). The CLI offers a flag for
+# each parameter but the chord runners' "mode", which is fixed here.
+EXPERIMENTS = {
+    "trie-exact": (run_trie_exact, {"m": 8, "w": 3, "k": 2}),
+    "trie-random": (run_trie_random, {
+        "m": 12, "w": 4, "k": 2, "population": 1024, "trials": 10000,
+    }),
+    "identity-sweep": (run_identity_sweep, {"m": 20}),
+    "position-law": (run_position_law, {"m": 10, "w": 3, "trials": 100000}),
+    "chord-single": (run_chord_single, {
+        "m": 12, "n": 256, "trials": 1000, "entries_factor": 1, "mode": FULL,
+    }),
+    "chord-wildcard": (run_chord_wildcard, {
+        "m": 16, "w": 4, "n": 1024, "trials": 1000, "entries_factor": 4,
+        "mode": FULL,
+    }),
+    "chord-decay": (run_chord_decay, {
+        "m": 16, "n": 256, "trials": 500, "entries_factor": 8,
+        "mode": ENTRY_BOUND,
+    }),
 }
-
-EXPERIMENT_NAMES = tuple(RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run the configured experiment and time it into `wall_clock_s`."""
-    if cfg.experiment not in RUNNERS:
+    if cfg.experiment not in EXPERIMENTS:
         raise SizingError(
             f"unknown experiment {cfg.experiment!r}; "
-            f"choose one of {', '.join(EXPERIMENT_NAMES)}"
+            f"choose one of {', '.join(EXPERIMENTS)}"
         )
+    runner = EXPERIMENTS[cfg.experiment][0]
     started = time.perf_counter()
-    report = RUNNERS[cfg.experiment](cfg)
+    report = runner(cfg)
     report.wall_clock_s = time.perf_counter() - started
     return report
 
@@ -772,15 +783,16 @@ def _write_json(report: ExperimentReport, handle) -> None:
 
 
 def emit(report: ExperimentReport, fmt: str, path) -> None:
-    """Write the report; bytes depend only on config and seed."""
+    """Write the report as UTF-8; bytes depend only on config and seed,
+    not on the locale."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     try:
         if fmt == "csv":
-            with open(path, "w", newline="") as handle:
+            with open(path, "w", newline="", encoding="utf-8") as handle:
                 _write_csv(report, handle)
         else:
-            with open(path, "w") as handle:
+            with open(path, "w", encoding="utf-8") as handle:
                 _write_json(report, handle)
     except OSError as exc:
         raise OSError(f"cannot write report to {path}: {exc}") from exc

@@ -48,7 +48,8 @@ from .trie import Trie
 
 Configuration = tuple[int, ...]
 
-# desk-scale ceilings of the brute-force oracle and of configuration lists
+# desk-scale ceilings: expansions per brute-force or ring wildcard query,
+# and configurations per list
 MAX_EXPANSIONS = 1 << 12
 MAX_CONFIGURATIONS = 1 << 20
 # the search memoizes plans of at most this many expansions, this many plans
@@ -167,10 +168,6 @@ class QueryPattern:
     def m(self) -> int:
         return len(self.symbols)
 
-    @property
-    def wildcard_count(self) -> int:
-        return self.symbols.count(None)
-
     @cached_property
     def configuration(self) -> Configuration:
         """Positions of the wildcards, ascending (least significant first),
@@ -231,23 +228,23 @@ class QueryResult(NamedTuple):
 _new = tuple.__new__
 
 
-def _check_pattern(trie: Trie, pattern: QueryPattern) -> int:
-    """Refuse a pattern that does not fit `trie`, else return its first
-    expansion: the key with every wildcard at letter 0."""
-    if pattern.m != trie.m:
+def _check_pattern(pattern: QueryPattern, m: int, k: int) -> int:
+    """Refuse a pattern that is not m letters over 0..k-1, else return its
+    first expansion: the key with every wildcard at letter 0."""
+    symbols = pattern.symbols
+    if len(symbols) != m:
         raise PatternShapeError(
-            f"pattern length {pattern.m} does not match trie depth {trie.m}"
+            f"pattern length {len(symbols)} does not match key length {m}"
         )
-    k = trie.k
     base = 0
-    for s in pattern.symbols:
+    for s in symbols:
         if s is None:
             base *= k
         elif s < k:
             base = base * k + s
         else:
             raise PatternShapeError(
-                f"pattern letter {s} outside trie alphabet 0..{k - 1}"
+                f"pattern letter {s} outside alphabet 0..{k - 1}"
             )
     return base
 
@@ -324,8 +321,8 @@ def backtracking_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
     consistent under concurrent queries; a larger one is built for the
     call alone.
     """
-    base = _check_pattern(trie, pattern)
     k, m = trie.k, trie.m
+    base = _check_pattern(pattern, m, k)
     configuration = pattern.configuration
     total = k ** len(configuration)
     plan = _cached_plan if total <= MAX_CACHED_EXPANSIONS else _build_plan
@@ -397,8 +394,8 @@ def brute_force_query(trie: Trie, pattern: QueryPattern) -> set[int]:
 
     Shares no traversal state with backtracking_query.
     """
-    _check_pattern(trie, pattern)
-    w = pattern.wildcard_count
+    _check_pattern(pattern, trie.m, trie.k)
+    w = len(pattern.configuration)
     if trie.k**w > MAX_EXPANSIONS:
         raise SizeLimitError(
             f"{trie.k ** w} expansions exceed the limit {MAX_EXPANSIONS}"

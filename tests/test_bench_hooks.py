@@ -27,22 +27,39 @@ from wildquery.dht import (
 from wildquery.trie import random_trie
 from wildquery.wildcard import QueryPattern, QueryResult, random_pattern
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    """Load perfbench/<name>.py read-only, without touching sys.path."""
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_traced_names_exist():
-    tracing = _load_tracing()
+    tracing = _load("tracing")
     for attr, _span in tracing.EXPERIMENT_NAMES:
         assert callable(getattr(experiments, attr, None)), attr
     for attr, _span in tracing.CHORD_METHODS:
         assert callable(getattr(ChordNetwork, attr, None)), attr
+
+
+def test_benchmark_and_golden_configs_set_only_their_table_keys():
+    # perfbench/run.py builds ExperimentConfig from each workload's config,
+    # the goldens from their params; neither may set a parameter the
+    # experiment does not read, nor a chord mode other than its fixed one
+    workloads = _load("run").WORKLOADS
+    configs = [dict(w["config"]) for w in workloads.values()]
+    configs += [{"experiment": name, **params} for name, params, *_ in GOLDEN]
+    for config in configs:
+        name = config.pop("experiment")
+        params = experiments.EXPERIMENTS[name][1]
+        assert config.keys() <= params.keys(), (name, config)
+        if "mode" in params:
+            assert config.get("mode") == params["mode"], (name, config)
 
 
 # calls each runner makes through the names the tracer rebinds, at the
@@ -70,7 +87,7 @@ def test_runners_call_traced_names_through_module_globals(monkeypatch):
     # a runner that captured one of these names before the tracer rebinds
     # it would bypass the wrapper, and the traced pins would drift
     calls = Counter()
-    for attr, _span in _load_tracing().EXPERIMENT_NAMES:
+    for attr, _span in _load("tracing").EXPERIMENT_NAMES:
 
         def counted(*args, _fn=getattr(experiments, attr), _attr=attr, **kwargs):
             calls[_attr] += 1
@@ -78,7 +95,7 @@ def test_runners_call_traced_names_through_module_globals(monkeypatch):
 
         monkeypatch.setattr(experiments, attr, counted)
     last = {name: params for name, params, *_ in GOLDEN}
-    assert set(last) == set(experiments.RUNNERS) == set(TRACED_CALLS)
+    assert set(last) == set(experiments.EXPERIMENTS) == set(TRACED_CALLS)
     for name, params in last.items():
         calls.clear()
         experiments.run_experiment(

@@ -3,8 +3,11 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -16,7 +19,7 @@ from test_golden import GOLDEN, _case_id
 
 from wildquery import experiments
 from wildquery import cli
-from wildquery.cli import DEFAULTS, build_parser, config_from_args, main
+from wildquery.cli import build_parser, config_from_args, main
 from wildquery.dht import ENTRY_BOUND, FULL, ChordNetwork, build_network
 from wildquery.experiments import (
     MAX_ENTRIES_FACTOR,
@@ -76,9 +79,9 @@ _PARAMETERS = [
 # (experiment, parameter) for each parameter the experiment does not read
 _UNREAD = [
     (name, dest)
-    for name in experiments.EXPERIMENT_NAMES
+    for name, (_, params) in experiments.EXPERIMENTS.items()
     for dest in _PARAMETERS
-    if dest not in _cli_params(DEFAULTS[name])
+    if dest not in _cli_params(params)
 ]
 
 
@@ -745,7 +748,8 @@ class TestCli:
         def explode(cfg):
             raise ExperimentFailure("forced for the exit-code contract")
 
-        monkeypatch.setitem(experiments.RUNNERS, "trie-exact", explode)
+        params = experiments.EXPERIMENTS["trie-exact"][1]
+        monkeypatch.setitem(experiments.EXPERIMENTS, "trie-exact", (explode, params))
         code = main(["trie-exact", "--m", "2", "--w", "1", "--seed", "1"])
         assert code == 1
         assert "ASSERTION FAILED" in capsys.readouterr().err
@@ -794,6 +798,52 @@ class TestCli:
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"experiment": "chord-decay", "seed": 3}))
         assert main(["trie-exact", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize(
+        "args, config",
+        [
+            (["trie-exact"], {"seed": 1, "out": "rep\u0000ort.csv"}),
+            (["trie-exact"], {"seed": 1, "out": "x\ud800.csv"}),
+            (["trie-exact"], {"seed": "a\ud800b"}),
+            (["trie-random", "--population", "2", "--trials", "3"],
+             {"seed": "a\ud800b"}),
+        ],
+        ids=["nul-out", "surrogate-out", "surrogate-seed", "trie-random-seed"],
+    )
+    def test_config_no_report_can_hold_is_refused_before_the_run(
+        self, args, config, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # a relative report lands here, if anywhere
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = [*args, "--m", "2", "--w", "1", "--config", str(path)]
+        code, err = _run_main(argv, budget_s=_REFUSAL_BUDGET_S)
+        assert code == 2, err
+        assert err.startswith("usage error: "), err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_report_bytes_do_not_depend_on_the_locale(self, tmp_path, capsys):
+        # under LC_ALL=C, with no locale coercion and no UTF-8 mode, the
+        # preferred encoding is ASCII, which cannot write the seed "é"
+        config = tmp_path / "cfg.json"
+        config.write_text('{"seed": "\u00e9"}', encoding="utf-8")
+        args = ["trie-exact", "--m", "2", "--w", "1", "--config", str(config)]
+        env = dict(
+            os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+            PYTHONPATH=str(Path(experiments.__file__).resolve().parent.parent),
+        )
+        for fmt in ("csv", "json"):
+            # one path for both runs, since a JSON report's config holds it
+            argv = [*args, "--format", fmt, "--out", str(tmp_path / f"r.{fmt}")]
+            child = subprocess.run(
+                [sys.executable, "-m", "wildquery", *argv],
+                env=env, capture_output=True, timeout=60,
+            )
+            assert child.returncode == 0, child.stderr
+            there = (tmp_path / f"r.{fmt}").read_bytes()
+            assert main(argv) == 0
+            assert (tmp_path / f"r.{fmt}").read_bytes() == there
 
     def test_config_integer_past_the_digit_limit_names_the_file(
         self, tmp_path, capsys
@@ -858,7 +908,7 @@ class TestCli:
         assert f"sizing error: {hint}\n" in err
 
     # 5 examples for each of the 7 experiments
-    @pytest.mark.parametrize("name", experiments.EXPERIMENT_NAMES)
+    @pytest.mark.parametrize("name", experiments.EXPERIMENTS)
     @settings(max_examples=5, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_in_range_flags_exit_with_a_documented_code(self, name, data):
@@ -873,7 +923,7 @@ class TestCli:
         }
         flags = {"m": m}
         for dest, values in ranges.items():
-            if dest in DEFAULTS[name]:
+            if dest in experiments.EXPERIMENTS[name][1]:
                 flags[dest] = data.draw(values)
         fmt = data.draw(st.sampled_from(["csv", "json"]))
         with tempfile.TemporaryDirectory() as tmp:
@@ -903,8 +953,8 @@ class TestCli:
             "fmt": junk | st.text().filter(lambda t: t not in ("csv", "json")),
             "out": junk.filter(lambda v: v is not None),
         }
-        name = data.draw(st.sampled_from(experiments.EXPERIMENT_NAMES))
-        integers = list(_cli_params(DEFAULTS[name]))
+        name = data.draw(st.sampled_from(list(experiments.EXPERIMENTS)))
+        integers = list(_cli_params(experiments.EXPERIMENTS[name][1]))
         dest = data.draw(st.sampled_from([*integers, *wrong]))
         value = data.draw(wrong.get(dest, junk | st.text(max_size=4)))
         with tempfile.TemporaryDirectory() as tmp:
@@ -979,7 +1029,7 @@ class TestCli:
 
     @pytest.mark.parametrize("case", GOLDEN, ids=map(_case_id, GOLDEN))
     def test_golden_config_from_the_cli(self, case, tmp_path):
-        # mode has no flag, so the chord cases get theirs from DEFAULTS
+        # mode has no flag, so the chord cases get theirs from EXPERIMENTS
         name, params = case[0], case[1]
         out = str(tmp_path / "r.csv")
         argv = [name, "--seed", "7", "--out", out]

@@ -1,10 +1,13 @@
 """README's library example runs and its CLI lines parse as written.
 
-Each ```python block of README.md is executed, and each `wildquery` line
-of its ```sh blocks is parsed into a config without running, so an API
-or flag change that leaves the documented usage stale fails here.
+Each ```python block of README.md is executed, each `wildquery` line
+of its ```sh blocks is parsed into a config without running, and its CLI
+table is compared with each subcommand's --help, so an API or flag change
+that leaves the documented usage stale fails here.
 """
 
+import contextlib
+import io
 import re
 import shlex
 from pathlib import Path
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from wildquery.cli import build_parser, config_from_args
+from wildquery.experiments import EXPERIMENTS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text()
@@ -22,6 +26,14 @@ COMMANDS = [
     for line in block.splitlines()
     if line.startswith("wildquery ")
 ]
+# subcommand -> its parameter flags, from the `| subcommand | parameter
+# flags |` table
+FLAG_TABLE = {
+    name: flags.split()
+    for name, flags in re.findall(r"^\| `([\w-]+)` \| `([^`]*)` \|$", TEXT, re.M)
+}
+# the flags every subcommand takes beside its parameters
+COMMON_FLAGS = ("--help", "--seed", "--format", "--out", "--config")
 
 
 def test_readme_has_python_examples():
@@ -43,3 +55,21 @@ def test_readme_has_cli_examples():
 def test_readme_cli_line_parses(argv):
     cfg = config_from_args(build_parser().parse_args(argv))
     assert cfg.experiment == argv[0]
+
+
+def _help_flags(name):
+    """The long flags of a subcommand's --help, in the order it lists them."""
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text), pytest.raises(SystemExit):
+        build_parser().parse_args([name, "--help"])
+    return re.findall(r"^  (?:-\w, )?(--[\w-]+)", text.getvalue(), re.M)
+
+
+def test_readme_flag_table_lists_every_subcommand():
+    assert list(FLAG_TABLE) == list(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("name", FLAG_TABLE)
+def test_readme_flag_table_row_is_the_parsers(name):
+    offered = [flag for flag in _help_flags(name) if flag not in COMMON_FLAGS]
+    assert FLAG_TABLE[name] == offered

@@ -32,8 +32,8 @@ def edge_walk_query(trie: Trie, pattern: QueryPattern) -> QueryResult:
     It tests each child on the path with its own bisect and counts steps
     edge by edge, so it shares no shortcut with the per-decision search.
     """
-    _check_pattern(trie, pattern)
     k, m = trie.k, trie.m
+    _check_pattern(pattern, m, k)
     sym = pattern.symbols
     keys = trie.keys
     n_keys = len(keys)
@@ -156,7 +156,6 @@ class TestPattern:
     def test_parse_and_positions(self):
         pattern = QueryPattern.from_string("1*0*0")
         assert pattern.m == 5
-        assert pattern.wildcard_count == 2
         # leftmost letter sits at position m; wildcards land at 4 and 2
         assert pattern.configuration == (2, 4)
         assert pattern.symbols == (1, None, 0, None, 0)
@@ -582,7 +581,7 @@ class TestSearchPlan:
             for positions in enumerate_configurations(m, w):
                 letters = [rng.randrange(k) for _ in range(m - w)]
                 pattern = QueryPattern.from_configuration(m, positions, letters)
-                base = _check_pattern(Trie(k, m), pattern)
+                base = _check_pattern(pattern, m, k)
                 span, offset, resume = _build_plan(m, k, positions)
                 # the targets are the expansions, strictly ascending, which
                 # the bisect hint relies on
