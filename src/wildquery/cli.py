@@ -67,28 +67,30 @@ def _check_types(merged: dict) -> None:
         if dest in merged and type(merged[dest]) is not int:
             raise SizeLimitError(f"{dest} must be an integer, got {merged[dest]!r}")
     seed = merged["seed"]
-    # the generators hash a string seed's UTF-8 bytes, and the CSV holds them
-    if not (type(seed) is int or isinstance(seed, str) and _encodes(seed.encode)):
-        raise SizeLimitError(f"seed must be an integer or a UTF-8 string, got {seed!r}")
+    seed_error = f"seed must be an integer or a UTF-8 string, got {seed!r}"
+    if type(seed) is not int and not isinstance(seed, str):
+        raise SizeLimitError(seed_error)
+    if isinstance(seed, str):
+        # the generators hash a string seed's UTF-8 bytes, and the CSV holds them
+        try:
+            seed.encode()
+        except UnicodeEncodeError:
+            raise SizeLimitError(seed_error)
     if "fmt" in merged and merged["fmt"] not in _FORMATS:
         raise SizeLimitError(
             f"fmt must be one of {', '.join(_FORMATS)}, got {merged['fmt']!r}"
         )
     out = merged.get("out")
+    if out is None:
+        return
+    out_error = f"out must be a file path string, got {out!r}"
     # open() refuses a NUL, and a path the file system encoding cannot spell
-    if out is not None and not (
-        isinstance(out, str) and "\0" not in out and _encodes(lambda: os.fsencode(out))
-    ):
-        raise SizeLimitError(f"out must be a file path string, got {out!r}")
-
-
-def _encodes(encode) -> bool:
-    """Whether `encode()` succeeds; a lone surrogate makes it fail."""
+    if not isinstance(out, str) or "\0" in out:
+        raise SizeLimitError(out_error)
     try:
-        encode()
+        os.fsencode(out)
     except UnicodeEncodeError:
-        return False
-    return True
+        raise SizeLimitError(out_error)
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
@@ -98,7 +100,8 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         for dest, value in vars(args).items()
         if dest not in ("experiment", "config")
     }
-    merged = dict(EXPERIMENTS[args.experiment][1])
+    _, defaults = EXPERIMENTS[args.experiment]
+    merged = dict(defaults)
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as handle:

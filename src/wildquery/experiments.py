@@ -714,7 +714,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
             f"unknown experiment {cfg.experiment!r}; "
             f"choose one of {', '.join(EXPERIMENTS)}"
         )
-    runner = EXPERIMENTS[cfg.experiment][0]
+    runner, _ = EXPERIMENTS[cfg.experiment]
     started = time.perf_counter()
     report = runner(cfg)
     report.wall_clock_s = time.perf_counter() - started

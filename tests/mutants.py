@@ -1,7 +1,6 @@
 """Committed mutants: source edits the test suite must catch.
 
-    python tests/mutants.py            # every mutant
-    python tests/mutants.py NAME ...   # the named ones
+    python tests/mutants.py
 
 Each mutant names a file, a snippet that occurs in it exactly once, the
 snippet's replacement and the pytest node ids that must catch the edit.
@@ -141,13 +140,8 @@ def check(mutant: Mutant) -> str:
     return "killed"
 
 
-def main(argv: list[str]) -> int:
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"no mutants named {sorted(unknown)}", file=sys.stderr)
-        return 1
-    bad = [(m, occurrences(m)) for m in chosen if occurrences(m) != 1]
+def main() -> int:
+    bad = [(m, occurrences(m)) for m in MUTANTS if occurrences(m) != 1]
     for mutant, count in bad:
         print(
             f"{mutant.name}: snippet occurs {count} times in {mutant.file}",
@@ -156,13 +150,13 @@ def main(argv: list[str]) -> int:
     if bad:
         return 1
     failed = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         verdict = check(mutant)
         print(f"{mutant.name}: {verdict}")
         failed += verdict != "killed"
-    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

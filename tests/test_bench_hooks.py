@@ -56,7 +56,7 @@ def test_benchmark_and_golden_configs_set_only_their_table_keys():
     configs += [{"experiment": name, **params} for name, params, *_ in GOLDEN]
     for config in configs:
         name = config.pop("experiment")
-        params = experiments.EXPERIMENTS[name][1]
+        _, params = experiments.EXPERIMENTS[name]
         assert config.keys() <= params.keys(), (name, config)
         if "mode" in params:
             assert config.get("mode") == params["mode"], (name, config)

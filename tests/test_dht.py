@@ -877,9 +877,9 @@ class TestWildcardQuery:
     def test_rejects_non_binary_or_misshaped_patterns(self):
         net = build_network(8, 6, seed=20)
         # the trie search raises the same class for the same mistakes
-        with pytest.raises(PatternShapeError):
+        with pytest.raises(PatternShapeError, match="outside alphabet 0..1"):
             net.wildcard_query(QueryPattern.from_string("2*0*00"), 0)
-        with pytest.raises(PatternShapeError):
+        with pytest.raises(PatternShapeError, match="does not match key length"):
             net.wildcard_query(QueryPattern.from_string("***"), 0)
         # 2**13 lookups, past the 2**12 limit, refused before the first
         big = build_network(2, 13, seed=20)

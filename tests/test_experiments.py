@@ -748,7 +748,7 @@ class TestCli:
         def explode(cfg):
             raise ExperimentFailure("forced for the exit-code contract")
 
-        params = experiments.EXPERIMENTS["trie-exact"][1]
+        _, params = experiments.EXPERIMENTS["trie-exact"]
         monkeypatch.setitem(experiments.EXPERIMENTS, "trie-exact", (explode, params))
         code = main(["trie-exact", "--m", "2", "--w", "1", "--seed", "1"])
         assert code == 1
@@ -922,8 +922,9 @@ class TestCli:
             "trials": st.integers(0, 60),
         }
         flags = {"m": m}
+        _, params = experiments.EXPERIMENTS[name]
         for dest, values in ranges.items():
-            if dest in experiments.EXPERIMENTS[name][1]:
+            if dest in params:
                 flags[dest] = data.draw(values)
         fmt = data.draw(st.sampled_from(["csv", "json"]))
         with tempfile.TemporaryDirectory() as tmp:
@@ -954,7 +955,8 @@ class TestCli:
             "out": junk.filter(lambda v: v is not None),
         }
         name = data.draw(st.sampled_from(list(experiments.EXPERIMENTS)))
-        integers = list(_cli_params(experiments.EXPERIMENTS[name][1]))
+        _, params = experiments.EXPERIMENTS[name]
+        integers = list(_cli_params(params))
         dest = data.draw(st.sampled_from([*integers, *wrong]))
         value = data.draw(wrong.get(dest, junk | st.text(max_size=4)))
         with tempfile.TemporaryDirectory() as tmp:

@@ -416,9 +416,9 @@ class TestBacktrackingQuery:
 
     def test_shape_errors(self):
         trie = complete_trie(2, 3)
-        with pytest.raises(PatternShapeError):
+        with pytest.raises(PatternShapeError, match="does not match key length"):
             backtracking_query(trie, QueryPattern.from_string("**"))
-        with pytest.raises(PatternShapeError):
+        with pytest.raises(PatternShapeError, match="outside alphabet 0..1"):
             backtracking_query(trie, QueryPattern.from_string("2**"))
 
     def test_tight_on_complete_tries_small_sweep(self):
