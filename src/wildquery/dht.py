@@ -21,6 +21,12 @@ grants finger i only to nodes holding at least i entries, which ties
 routing power to the entry distribution; a node's fingers are always
 a prefix 1..g, and one pass builds every node's table.
 
+The distinct stored data keys live in one of two stores, picked by the
+fill from its entry count: a byte map with one byte per ring key for a
+dense fill (2 * count >= 2**m), else a set (see `distribute_entries`).
+The routing tables hold node addresses as n shared int objects, one per
+node, so a table entry costs a pointer and no int of its own.
+
 Everything is seeded and single-threaded. A built network's tables and
 entries are read-only during measurement. A lookup writes two things.
 A routed one writes the memo of the routes to the owner it last routed
@@ -38,6 +44,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple
 
 from .errors import SizeLimitError
@@ -113,7 +120,10 @@ class ChordNetwork:
         self.node_keys = sorted(node_keys)
         self.n = n
         self.loads = [0] * n
-        self._stored: set[int] = set()
+        # the stored data keys: a set, or after a dense fill (_dense) a
+        # byte per key of the ring, 1 where stored (see `distribute_entries`)
+        self._stored: set[int] | bytearray = set()
+        self._dense = False
         # node a owns the _arcs[a] keys from _arc_first[a]; the 0-hop keys
         # from a, owned by a or its successor, are the _arc_width[a] keys
         # from there (see `lookup`); _zero_hop[a] is a's (absent, present)
@@ -157,25 +167,27 @@ class ChordNetwork:
         keys = self.node_keys
         loads = None if self.finger_mode == FULL else self.loads
         fingers, table_addrs, table_offs = [], [], []
+        # every table entry is one of these n int objects, not a new int
+        # per bisect or sum (CPython caches only the ints up to 256)
+        ids = list(range(n))
         for addr, key in enumerate(keys):
             granted = m if loads is None else min(m, loads[addr])
-            succ = addr + 1 if addr + 1 < n else 0
+            succ = ids[addr + 1 - n]
             last = gap = (keys[succ] - key) & mask
             near = min(granted, gap.bit_length())
             node_fingers = [succ] * near
             offs = [gap]
             addrs = [succ]
             for i in range(near, granted):
-                f = bisect_left(keys, (key + (1 << i)) & mask)
-                if f == n:
-                    f = 0
+                # a bisect past the last node, n, wraps to node 0
+                f = ids[bisect_left(keys, (key + (1 << i)) & mask) - n]
                 node_fingers.append(f)
                 off = (keys[f] - key) & mask
                 if off > last:
                     offs.append(off)
                     addrs.append(f)
                     last = off
-            pred = addr - 1 if addr else n - 1
+            pred = ids[addr - 1]
             off = (keys[pred] - key) & mask
             if off > last:
                 offs.append(off)
@@ -199,6 +211,17 @@ class ChordNetwork:
         entry is stored exactly at the successor of its data key.
         Entry-bound finger tables are rebuilt afterwards.
 
+        The distinct data keys go into one of two stores, picked from
+        `count` alone. A dense fill, 2 * count >= 2**m, marks them in a
+        `bytearray` of 2**m bytes (64 KB at m = 16), 1 at each stored key.
+        At that density a fill stores about a third of the ring's keys
+        (1 - e**-0.5, 39%, if the keys were uniform; the node-uniform draw
+        stores about 32%), so a set would hold that many int objects.
+        Marking a byte also costs less than a set add, which at that
+        density pays for `stored_keys` scanning all 2**m bytes (about
+        twice the time of sorting the set). A sparser fill keeps a `set`,
+        whose `stored_keys` sorts only the keys it holds.
+
         The draws are a contract: per entry, `random.Random(seed)` makes
         one `randrange(n)` for the node, then one `randrange(arc)` for the
         key. The loop inlines the rule CPython's `randrange(x)` follows,
@@ -216,8 +239,9 @@ class ChordNetwork:
         arc_bits = [arc.bit_length() for arc in arcs]
         n_bits = n.bit_length()
         loads = [0] * n
-        stored: set[int] = set()
-        add = stored.add
+        dense = 2 * count >= self.size
+        stored = bytearray(self.size) if dense else set()
+        add = None if dense else stored.add
         for _ in range(count):
             a = getrandbits(n_bits)
             while a >= n:
@@ -227,16 +251,26 @@ class ChordNetwork:
             r = getrandbits(bits)
             while r >= arc:
                 r = getrandbits(bits)
-            add((bases[a] + r) & mask)
+            if dense:
+                stored[(bases[a] + r) & mask] = 1
+            else:
+                add((bases[a] + r) & mask)
             loads[a] += 1
         self.loads = loads
         self._stored = stored
+        self._dense = dense
         if self.finger_mode == ENTRY_BOUND:
             self._build_tables()
         return self
 
     def stored_keys(self) -> list[int]:
-        """Distinct data keys currently stored, ascending."""
+        """Distinct data keys currently stored, ascending.
+
+        A dense fill's byte map is scanned in key order; a sparse fill's
+        set is sorted.
+        """
+        if self._dense:
+            return list(compress(range(self.size), self._stored))
         return sorted(self._stored)
 
     # -- lookup ------------------------------------------------------------
@@ -291,6 +325,10 @@ class ChordNetwork:
         ):
             d, start = self._check_lookup(d, start)
 
+        if self._dense:
+            truth = self._stored[d] == 1
+        else:
+            truth = d in self._stored
         # the owner is start itself or its clockwise neighbor
         if (d - self._arc_first[start]) & self._mask < self._arc_width[start]:
             pair = self._zero_hop[start]
@@ -300,13 +338,12 @@ class ChordNetwork:
                     _new(LookupOutcome, (False, True, 0, path, False)),
                     _new(LookupOutcome, (True, True, 0, path, False)),
                 )
-            return pair[d in self._stored]
+            return pair[truth]
 
         keys = self.node_keys
         t = bisect_left(keys, d)
         if t == n:
             t = 0
-        truth = d in self._stored
         owner, routes = self._route_memo
         if owner != t:
             routes = {}

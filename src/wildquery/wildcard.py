@@ -229,8 +229,11 @@ _new = tuple.__new__
 
 
 def _check_pattern(pattern: QueryPattern, m: int, k: int) -> int:
-    """Refuse a pattern that is not m letters over 0..k-1, else return its
-    first expansion: the key with every wildcard at letter 0."""
+    """Refuse a pattern that is not a `QueryPattern` of m letters over
+    0..k-1, else return its first expansion: the key with every wildcard
+    at letter 0."""
+    if type(pattern) is not QueryPattern and not isinstance(pattern, QueryPattern):
+        raise TypeError(f"pattern must be a QueryPattern, got {pattern!r}")
     symbols = pattern.symbols
     if len(symbols) != m:
         raise PatternShapeError(

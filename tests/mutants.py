@@ -89,6 +89,61 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "tables-keep-repeated-offsets",
+        "src/wildquery/dht.py",
+        "                if off > last:\n"
+        "                    offs.append(off)\n"
+        "                    addrs.append(f)\n",
+        "                if off > 0:\n"
+        "                    offs.append(off)\n"
+        "                    addrs.append(f)\n",
+        (
+            "tests/test_dht.py::TestConstruction"
+            "::test_tables_match_ring_scan_oracle",
+        ),
+    ),
+    Mutant(
+        "near-fingers-one-past-the-gap",
+        "src/wildquery/dht.py",
+        "near = min(granted, gap.bit_length())",
+        "near = min(granted, gap.bit_length() + 1)",
+        (
+            "tests/test_dht.py::TestConstruction"
+            "::test_tables_match_ring_scan_oracle",
+            "tests/test_dht.py::TestConstruction"
+            "::test_fingers_match_ring_scan_oracle",
+        ),
+    ),
+    Mutant(
+        "route-memo-kept-across-table-rebuilds",
+        "src/wildquery/dht.py",
+        "        self._route_memo = _NO_ROUTES\n",
+        '        self.__dict__.setdefault("_route_memo", _NO_ROUTES)\n',
+        ("tests/test_dht.py::TestLookup::test_refill_resets_the_route_memo",),
+    ),
+    Mutant(
+        "dense-keys-scan-one-short",
+        "src/wildquery/dht.py",
+        "compress(range(self.size), self._stored)",
+        "compress(range(self.size - 1), self._stored)",
+        (
+            "tests/test_dht.py::TestEntries"
+            "::test_fills_on_both_sides_of_the_dense_rule",
+            "tests/test_dht.py::TestEntries"
+            "::test_fill_makes_the_randrange_draws",
+        ),
+    ),
+    Mutant(
+        "dense-rule-one-entry-late",
+        "src/wildquery/dht.py",
+        "dense = 2 * count >= self.size",
+        "dense = 2 * count > self.size",
+        (
+            "tests/test_dht.py::TestEntries"
+            "::test_fills_on_both_sides_of_the_dense_rule",
+        ),
+    ),
+    Mutant(
         "ruler-sentinel-mask-one",
         "src/wildquery/dht.py",
         "flip.append(0)  # _ruler's sentinel rank",

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from bisect import bisect_left, bisect_right
 from collections import Counter
 
@@ -75,7 +76,9 @@ def sample_by_rule(getrandbits, n, k):
 
 def reference_lookup(self, d, start):
     """`ChordNetwork.lookup` as it stood before its 0-hop exit and inline
-    outcome, kept verbatim (with the network as `self`) as its oracle."""
+    outcome, kept verbatim (with the network as `self`) as its oracle, but
+    for its membership read, which goes through `stored_keys()` whichever
+    store the fill picked."""
     if not 0 <= d < self.size:
         raise ValueError(f"data key {d} outside the ring")
     if not 0 <= start < self.n:
@@ -101,7 +104,7 @@ def reference_lookup(self, d, start):
         a = addrs[a][j]
         path.append(a)
 
-    truth = d in self._stored
+    truth = d in self.stored_keys()
     found = truth and not error
     return LookupOutcome(
         found, found == truth, len(path) - 1, tuple(path), error
@@ -311,7 +314,7 @@ class TestEntries:
             want[addr] += 1
             want_stored.add(d)
         assert net.loads == want
-        assert net._stored == want_stored
+        assert net.stored_keys() == sorted(want_stored)
         assert sum(net.loads) == 400
 
     @pytest.mark.parametrize("mode", [FULL, ENTRY_BOUND])
@@ -328,7 +331,6 @@ class TestEntries:
             net.distribute_entries(count, seed)
             loads, stored = randrange_fill(net, count, seed)
             assert net.loads == loads
-            assert net._stored == stored
             assert net.stored_keys() == sorted(stored)
             if mode == ENTRY_BOUND and n <= 64:  # the scan oracle is O(n^2 m)
                 TestConstruction.assert_fingers_match_ring_scan(net)
@@ -352,6 +354,51 @@ class TestEntries:
         net.distribute_entries(8 * m * n, seed=32)
         light = sum(1 for load in net.loads if load < m)
         assert light / n < 0.01
+
+    @pytest.mark.parametrize("mode", [FULL, ENTRY_BOUND])
+    def test_fills_on_both_sides_of_the_dense_rule(self, mode):
+        # 2 * count >= 2**m picks the byte map, one entry fewer the set;
+        # each fill replaces the last, so the ring swaps stores both ways
+        n, m = 16, 8
+        net = build_network(n, m, seed=12, finger_mode=mode)
+        half = net.size // 2
+        for count, seed, dense in (
+            (half, 1, True), (half - 1, 2, False), (half, 3, True),
+        ):
+            net.distribute_entries(count, seed)
+            assert type(net._stored) is (bytearray if dense else set)
+            loads, stored = randrange_fill(net, count, seed)
+            assert net.loads == loads
+            assert net.stored_keys() == sorted(stored)
+            for d in range(net.size):
+                for start in range(n):
+                    out = net.lookup(d, start)
+                    assert out == reference_lookup(net, d, start), (d, start)
+                    assert type(out.found) is bool
+
+    def test_dense_fill_keeps_its_keys_in_a_byte_map(self):
+        # 65,536 entries on the 2**16 ring store about 32,500 distinct
+        # keys: about 3 MB as a set of ints, 64 KB as a byte map
+        net = build_network(1024, 16, seed=13)
+        tracemalloc.start()
+        try:
+            net.distribute_entries(1 << 16, seed=14)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(net.stored_keys()) > 30_000
+        # the byte map plus the n loads, and the fill's own lists
+        assert held < 100_000 and peak < 100_000, (held, peak)
+
+    def test_tables_share_one_int_per_node(self):
+        net = build_network(1024, 16, seed=15)
+        objects = {
+            id(addr)
+            for tables in (net._table_addrs, net.fingers)
+            for table in tables
+            for addr in table
+        }
+        assert len(objects) <= net.n
 
 
 def test_cpython_randrange_still_redraws_getrandbits_below_bound():

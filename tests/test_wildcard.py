@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wildquery.analysis import config_step_bound
+from wildquery.dht import build_network
 from wildquery.errors import PatternShapeError, SizeLimitError
 from wildquery.trie import Trie, complete_trie, random_trie
 from wildquery.wildcard import (
@@ -476,6 +477,28 @@ class TestOracleAgreement:
         pattern = QueryPattern.from_string("*" * 13)
         with pytest.raises(SizeLimitError):
             brute_force_query(trie, pattern)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda p: backtracking_query(complete_trie(2, 3), p).matches,
+        lambda p: brute_force_query(complete_trie(2, 3), p),
+        lambda p: build_network(8, 3, seed=1).wildcard_query(p, 0).matches,
+    ],
+    ids=["backtracking_query", "brute_force_query", "ChordNetwork.wildcard_query"],
+)
+def test_a_pattern_of_another_type_is_refused_by_name(query):
+    # a string got "AttributeError: 'str' object has no attribute 'symbols'"
+    for pattern in ("1*0", None, (1, None, 0)):
+        with pytest.raises(TypeError, match="^pattern must be a QueryPattern"):
+            query(pattern)
+
+    # a subclass passes the isinstance test the exact-type test falls back on
+    class Pattern(QueryPattern):
+        pass
+
+    assert query(Pattern((1, None, 0))) == query(QueryPattern.from_string("1*0"))
 
 
 def _draw_trie(data, k: int, m: int) -> Trie:
