@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from functools import lru_cache
 from itertools import compress
 from typing import NamedTuple
 
@@ -407,33 +406,29 @@ class ChordNetwork:
         Expansions are looked up in protocol order, each starting at the
         peer where the previous lookup ended. `wildcard._check_pattern`
         refuses a letter other than 0 and 1 and returns `base`, the key
-        with every wildcard at 0. The keys then come from an xor walk: going
-        from expansion c - 1 to c clears the wildcards of rank below
-        r = `_ruler(w)[c]` and sets the one of rank r, so the key changes
-        by `flip[r]`, the bits of wildcard ranks 0..r. `_ruler(w)[0]` selects
-        the mask 0, so the walk's first key is `base`. The keys and their
-        order are those of `pattern.expansions(2)`.
+        with every wildcard at 0. Expansion c is `base` plus the c-th
+        submask of `mask`, the wildcard bits, and `(sub - mask) & mask`
+        steps from one submask to the next in ascending order, so the walk
+        starts at `base` and its keys and their order are those of
+        `pattern.expansions(2)`.
         """
         base = _check_pattern(pattern, self.m, 2)
         configuration = pattern.configuration
         w = len(configuration)
         if 1 << w > MAX_EXPANSIONS:
             raise SizeLimitError(f"{1 << w} lookups exceed {MAX_EXPANSIONS}")
-        flip = []
-        bits = 0
+        mask = 0
         for z in configuration:
-            bits |= 1 << (z - 1)
-            flip.append(bits)
-        flip.append(0)  # _ruler's sentinel rank, -1, for the first key
+            mask |= 1 << (z - 1)
         lookup = self.lookup
         peer = start
         hops = []
         append = hops.append
         resolved = True
         matches = []
-        d = base
-        for rank in _ruler(w):
-            d ^= flip[rank]
+        sub = 0
+        for _ in range(1 << w):
+            d = base | sub
             found, _, h, path, error = lookup(d, peer)
             append(h)
             if error:
@@ -441,6 +436,7 @@ class ChordNetwork:
             if found:
                 matches.append(d)
             peer = path[-1]
+            sub = (sub - mask) & mask
         return RingQueryResult(
             frozenset(matches), tuple(hops), sum(hops), resolved
         )
@@ -469,15 +465,6 @@ class ChordNetwork:
                 f" entries={self.loads[addr]}"
             )
         return "\n".join(lines) + "\n"
-
-
-@lru_cache(maxsize=MAX_EXPANSIONS.bit_length())  # w <= 12: one entry per w
-def _ruler(w: int) -> tuple[int, ...]:
-    """Per expansion c of a w-wildcard query, the rank of the wildcard that
-    c sets: the least significant wildcard whose letter goes from 0 to 1
-    in the counting order. Expansion 0 sets none and gets the sentinel -1.
-    """
-    return (-1, *[((c - 1) ^ c).bit_length() - 1 for c in range(1, 1 << w)])
 
 
 def _require_ring_bits(m) -> None:

@@ -3,8 +3,8 @@
 Each runner measures one family of claims and enforces its hard
 assertions in-line, raising ExperimentFailure on the first violation so a
 driving process exits nonzero. Reports are pure functions of the config
-and seed: identical inputs emit identical bytes. Wall-clock time is kept
-on the report object for logging but never serialized.
+and seed: identical inputs emit identical bytes. A report holds only
+what it serializes; the CLI times the run itself.
 
 Derived randomness comes from string-composed seeds such as
 "<seed>|trial|<i>", so every factor of an experiment (network, entries,
@@ -18,7 +18,6 @@ import json
 import math
 import random
 import statistics
-import time
 from fractions import Fraction
 from itertools import chain, islice
 from operator import le
@@ -32,7 +31,7 @@ from .analysis import (
     mean_step_bound_hypergeometric,
     wildcard_position_pmf,
 )
-from .dht import ENTRY_BOUND, FULL, _ruler, build_network
+from .dht import ENTRY_BOUND, FULL, build_network
 from .errors import SizeLimitError
 from .trie import MAX_TRIE_KEYS, complete_trie, random_trie
 from .wildcard import (
@@ -101,42 +100,14 @@ class Row(NamedTuple):
     seed: int | str
 
 
-class ExperimentReport:
-    """A runner's result. `wall_clock_s` is set by `run_experiment` for
-    logging; it is never serialized, and equality ignores it. Reports
-    are mutable and so unhashable."""
+class ExperimentReport(NamedTuple):
+    """A runner's result: the fields a report serializes, in their order."""
 
-    def __init__(
-        self,
-        experiment: str,
-        config: dict,
-        version: str,
-        rows: list[Row],
-        aggregates: dict,
-        wall_clock_s: float | None = None,
-    ):
-        self.experiment = experiment
-        self.config = config
-        self.version = version
-        self.rows = rows
-        self.aggregates = aggregates
-        self.wall_clock_s = wall_clock_s
-
-    def _data(self) -> tuple:
-        return (self.experiment, self.config, self.version, self.rows, self.aggregates)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._data() == other._data()
-
-    def __repr__(self):
-        inner = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"{type(self).__qualname__}({inner})"
-
-
-def _rng(seed, *labels) -> random.Random:
-    return random.Random("|".join([str(seed), *map(str, labels)]))
+    experiment: str
+    config: dict
+    version: str
+    rows: list[Row]
+    aggregates: dict
 
 
 def _frac(value: Fraction) -> dict:
@@ -147,16 +118,12 @@ def _frac(value: Fraction) -> dict:
     }
 
 
-def _config_label(positions) -> str:
-    return "+".join(map(str, positions)) if positions else "-"
-
-
 class _ConfigLabels(dict):
     """positions -> row label, made on first use, so the rows of one
     configuration share one string."""
 
     def __missing__(self, positions):
-        param = self[positions] = _config_label(positions)
+        param = self[positions] = "+".join(map(str, positions)) or "-"
         return param
 
 
@@ -245,6 +212,7 @@ def run_trie_exact(cfg: ExperimentConfig) -> ExperimentReport:
     trie = complete_trie(k, m)
     rows: list[Row] = []
     add = _row_adder(cfg, rows, m=m, w=w, k=k)
+    params = _ConfigLabels()
     configs = enumerate_configurations(m, w)
     for positions in configs:
         bound = config_step_bound(m, w, positions, k)
@@ -255,7 +223,7 @@ def run_trie_exact(cfg: ExperimentConfig) -> ExperimentReport:
             raise ExperimentFailure(
                 f"steps {steps} != bound {bound} for configuration {positions}"
             )
-        add(_config_label(positions), steps, bound)
+        add(params[positions], steps, bound)
     measured_mean = Fraction(sum(row.measured for row in rows), len(rows))
     if measured_mean != bound_mean:
         raise ExperimentFailure(
@@ -379,7 +347,7 @@ def run_position_law(cfg: ExperimentConfig) -> ExperimentReport:
     _require(1 <= w <= m <= 64, f"need 1 <= w <= m <= 64, got m={m}, w={w}")
     _require_between(1, "trials", trials, MAX_LAW_TRIALS)
 
-    rng = _rng(cfg.seed, "draws")
+    rng = random.Random(f"{cfg.seed}|draws")
     counts = [[0] * (m + 1) for _ in range(w + 1)]
     for _ in range(trials):
         positions = sample_configuration(m, w, rng)
@@ -541,20 +509,16 @@ def run_chord_wildcard(cfg: ExperimentConfig) -> ExperimentReport:
     rows: list[Row] = []
     add = _row_adder(cfg, rows, m=m, w=w, n=n)
     sharp_keys = 0
-    # expansion c > 0 sets the wildcard of rank ranks[c - 1]
-    ranks = _ruler(w)[1:]
+    # expansion c > 0 sets the wildcard of rank ranks[c - 1], the lowest
+    # set bit of c
+    ranks = [(c & -c).bit_length() - 1 for c in range(1, 1 << w)]
     params = _ConfigLabels()
     rng = random.Random()
-    getrandbits = rng.getrandbits
-    n_bits = n.bit_length()
     for trial in range(trials):
         rng.seed(f"{cfg.seed}|trial|{trial}")
         pattern = random_pattern(m, w, 2, rng)
         positions = pattern.configuration
-        # rng.randrange(n), inlined: redraw n.bit_length() bits until below n
-        start = getrandbits(n_bits)
-        while start >= n:
-            start = getrandbits(n_bits)
+        start = rng.randrange(n)
         res = net.wildcard_query(pattern, start)
         bound = config_step_bound(m, w, positions, 2)
         if not res.resolved:
@@ -603,13 +567,13 @@ def run_chord_decay(cfg: ExperimentConfig) -> ExperimentReport:
     at the top; non-error lookups must finish within m hops.
 
     The lookup draws are a contract: per lookup, the generator
-    `_rng(seed, "lookups", C, s)` makes one `choice(stored)` for the key,
-    then one `randrange(n)` for the start node. The loop inlines the rule
-    CPython's `choice` and `randrange(x)` follow, redrawing
-    `getrandbits(x.bit_length())` until the result is below x (x being
-    len(stored), then n), so it consumes the same bits in the same order.
-    The oracle test in tests/test_experiments.py replays the `Random`
-    methods and pins it.
+    `random.Random(f"{seed}|lookups|{C}|{s}")` makes one `choice(stored)`
+    for the key, then one `randrange(n)` for the start node. The loop
+    inlines the rule CPython's `choice` and `randrange(x)` follow,
+    redrawing `getrandbits(x.bit_length())` until the result is below x
+    (x being len(stored), then n), so it consumes the same bits in the
+    same order. The oracle test in tests/test_experiments.py replays the
+    `Random` methods and pins it.
     """
     _require_ring(cfg, ENTRY_BOUND, min_m=4)
     m, n, per_seed = cfg.m, cfg.n, cfg.trials
@@ -642,7 +606,9 @@ def run_chord_decay(cfg: ExperimentConfig) -> ExperimentReport:
             stored = net.stored_keys()
             n_stored = len(stored)
             d_bits = n_stored.bit_length()
-            getrandbits = _rng(cfg.seed, "lookups", factor, s).getrandbits
+            getrandbits = random.Random(
+                f"{cfg.seed}|lookups|{factor}|{s}"
+            ).getrandbits
             errors = 0
             for _ in range(per_seed):
                 i = getrandbits(d_bits)
@@ -708,17 +674,14 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    """Run the configured experiment and time it into `wall_clock_s`."""
+    """Run the configured experiment."""
     if cfg.experiment not in EXPERIMENTS:
         raise SizingError(
             f"unknown experiment {cfg.experiment!r}; "
             f"choose one of {', '.join(EXPERIMENTS)}"
         )
     runner, _ = EXPERIMENTS[cfg.experiment]
-    started = time.perf_counter()
-    report = runner(cfg)
-    report.wall_clock_s = time.perf_counter() - started
-    return report
+    return runner(cfg)
 
 
 # -- serialization ------------------------------------------------------------

@@ -85,16 +85,13 @@ class Trie:
 
 def complete_trie(k: int, m: int) -> Trie:
     """Trie containing every key in [0, k**m)."""
-    if not (type(k) is int and type(m) is int):
-        refuse_non_int(k=k, m=m)
-    _require_key_bits(k, m)
-    if k**m > MAX_TRIE_KEYS:
+    trie = Trie(k, m)
+    if trie.key_space > MAX_TRIE_KEYS:
         raise SizeLimitError(
-            f"complete trie k={k}, m={m} has {k ** m} keys, "
+            f"complete trie k={k}, m={m} has k**m keys, "
             f"over the limit {MAX_TRIE_KEYS}"
         )
-    trie = Trie(k, m)
-    trie.keys = range(k**m)
+    trie.keys = range(trie.key_space)
     return trie
 
 
@@ -120,7 +117,7 @@ def random_trie(k: int, m: int, population: int, seed) -> Trie:
     space = k**m
     if not 0 <= population <= space:
         raise ValueError(
-            f"population {population} out of range for key space {space}"
+            f"population {population} out of range 0..k**m for k={k}, m={m}"
         )
     # wildcard imports this module, so its sampler is bound at call time
     from .wildcard import sample_configuration

@@ -164,10 +164,6 @@ class QueryPattern:
             letters.insert(m - z, None)
         return cls(tuple(letters))
 
-    @property
-    def m(self) -> int:
-        return len(self.symbols)
-
     @cached_property
     def configuration(self) -> Configuration:
         """Positions of the wildcards, ascending (least significant first),

@@ -78,10 +78,12 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "chord-wildcard-start-one-bit-wide",
+        "chord-wildcard-start-one-short",
         "src/wildquery/experiments.py",
-        "    n_bits = n.bit_length()\n    for trial in range(trials):\n",
-        "    n_bits = n.bit_length() + 1\n    for trial in range(trials):\n",
+        "        start = rng.randrange(n)\n"
+        "        res = net.wildcard_query(pattern, start)\n",
+        "        start = rng.randrange(n - 1)\n"
+        "        res = net.wildcard_query(pattern, start)\n",
         (
             "tests/test_experiments.py::TestRunners"
             "::test_chord_wildcard_starts_are_the_randrange_draws",
@@ -144,15 +146,55 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "ruler-sentinel-mask-one",
+        "submask-step-plus-one",
         "src/wildquery/dht.py",
-        "flip.append(0)  # _ruler's sentinel rank",
-        "flip.append(1)  # _ruler's sentinel rank",
+        "sub = (sub - mask) & mask",
+        "sub = (sub + 1) & mask",
         (
             "tests/test_dht.py::TestWildcardQuery"
             "::test_protocol_order_is_counting_order",
             "tests/test_dht.py::TestWildcardQuery"
             "::test_equals_chained_reference_lookups",
+        ),
+    ),
+    Mutant(
+        "chord-wildcard-rank-one-too-high",
+        "src/wildquery/experiments.py",
+        "(c & -c).bit_length() - 1",
+        "(c & -c).bit_length()",
+        ("tests/test_golden.py::test_report_digests[chord-wildcard]",),
+    ),
+    Mutant(
+        "chord-decay-key-drawn-one-bit-wide",
+        "src/wildquery/experiments.py",
+        "d_bits = n_stored.bit_length()",
+        "d_bits = n_stored.bit_length() + 1",
+        (
+            "tests/test_experiments.py::TestRunners"
+            "::test_chord_decay_makes_the_choice_and_randrange_draws",
+            "tests/test_golden.py::test_report_digests[chord-decay]",
+        ),
+    ),
+    Mutant(
+        "plan-span-counts-the-walk-depth",
+        "src/wildquery/wildcard.py",
+        "configuration[q - 1] >= m - d",
+        "configuration[q - 1] > m - d",
+        (
+            "tests/test_wildcard.py::TestSearchPlan"
+            "::test_tables_against_their_definitions",
+            "tests/test_wildcard.py::TestSearchPlan"
+            "::test_span_equals_the_per_depth_count",
+        ),
+    ),
+    Mutant(
+        "plan-resume-always-the-top-wildcard",
+        "src/wildquery/wildcard.py",
+        "resume += ([m - z] + resume[1:]) * (k - 1)",
+        "resume += [m - z] * (len(resume) * (k - 1))",
+        (
+            "tests/test_wildcard.py::TestSearchPlan"
+            "::test_tables_against_their_definitions",
         ),
     ),
 )

@@ -70,7 +70,7 @@ def test_the_check_sees_private_stdlib_imports():
     source = (
         "from __future__ import annotations\n"
         "from random import _sha512, Random\n"
-        "from .dht import _ruler\n"
+        "from .wildcard import _check_pattern\n"
         "from numpy import _private\n"
         "from os.path import _joinrealpath as j\n"
         "def f():\n"

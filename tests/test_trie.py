@@ -157,6 +157,37 @@ def test_key_bits_limit_admits_its_edge():
 
 
 @pytest.mark.parametrize(
+    "make, args, error, message",
+    [
+        (complete_trie, (2, MAX_KEY_BITS), SizeLimitError,
+         "complete trie k=2, m=4096 has k**m keys, over the limit 1048576"),
+        (complete_trie, (2, 21), SizeLimitError,
+         "complete trie k=2, m=21 has k**m keys, over the limit 1048576"),
+        (complete_trie, (2.0, 3), TypeError, "k must be an int, got 2.0"),
+        (complete_trie, (True, 3), TypeError, "k must be an int, got True"),
+        (complete_trie, (2, 3.0), TypeError, "m must be an int, got 3.0"),
+        (complete_trie, (1, 50), ValueError, "arity must be >= 2, got 1"),
+        (complete_trie, (2, 0), ValueError, "depth must be >= 1, got 0"),
+        (complete_trie, (3, 5000), SizeLimitError,
+         "keys of k=3, m=5000 may take 10000 bits, over the limit 4096"),
+        (random_trie, (2, MAX_KEY_BITS, -1, 0), ValueError,
+         "population -1 out of range 0..k**m for k=2, m=4096"),
+        (random_trie, (2, 4, 17, 0), ValueError,
+         "population 17 out of range 0..k**m for k=2, m=4"),
+        (random_trie, (2, 21, (1 << 20) + 1, 0), SizeLimitError,
+         "population 1048577 is over the limit 1048576 trie keys"),
+    ],
+)
+def test_size_refusals_name_k_and_m_not_k_to_the_m(make, args, error, message):
+    # a message spelling out k**m would run to 1,233 digits at k=2, m=4096
+    with pytest.raises(error) as err:
+        make(*args)
+    assert type(err.value) is error
+    assert str(err.value) == message
+    assert len(message) < 80
+
+
+@pytest.mark.parametrize(
     "k,m,population,pool",
     [(2, 12, 1024, True), (3, 5, 243, True), (2, 16, 50, False),
      (2, 20, 1000, False), (2, 12, 0, False)],

@@ -156,7 +156,7 @@ def random_pattern_oracle(m: int, w: int, k: int, rng: random.Random):
 class TestPattern:
     def test_parse_and_positions(self):
         pattern = QueryPattern.from_string("1*0*0")
-        assert pattern.m == 5
+        assert len(pattern.symbols) == 5
         # leftmost letter sits at position m; wildcards land at 4 and 2
         assert pattern.configuration == (2, 4)
         assert pattern.symbols == (1, None, 0, None, 0)
